@@ -56,7 +56,7 @@ bench-smoke:
 
 # Zero-allocation ingest gates (DESIGN.md §13): every AllocsPerRun test
 # on the replay→decode→InsertBatch path must report zero, and the
-# 4-queue pooled replay must beat the 1-queue run by the speedup floor.
+# 4-queue replay must beat the 1-queue run by the speedup floor.
 # The speedup is a physical-core fact, so benchsmoke -need-cpus skips
 # the ratio gate (tests still run) on hosts below 4 CPUs.
 bench-alloc:

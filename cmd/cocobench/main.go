@@ -8,7 +8,7 @@
 //	cocobench -run fig8,fig9 [-packets 2000000] [-seed 1] [-quick] [-bytes] [-format csv]
 //	cocobench -run fig14,fig15a -json   (also writes BENCH_cocobench.json)
 //	cocobench -run ext-scaling -workers 4 -json   (sharded-ingest Mpps vs workers)
-//	cocobench -run ext-zeroalloc -json   (pooled zero-allocation replay vs legacy decode)
+//	cocobench -run ext-zeroalloc -json   (zero-allocation replay vs legacy decode)
 //	cocobench -run all
 package main
 

@@ -232,9 +232,9 @@ func TestExtReportShape(t *testing.T) {
 func TestExtZeroAllocShape(t *testing.T) {
 	res := runID(t, "ext-zeroalloc")
 	if len(res.Rows) < 2 {
-		t.Fatalf("want legacy and pooled rows, got %d", len(res.Rows))
+		t.Fatalf("want legacy and replay rows, got %d", len(res.Rows))
 	}
-	if res.Rows[0][0] != "legacy decode+ingest" || res.Rows[1][0] != "pooled" {
+	if res.Rows[0][0] != "legacy decode+ingest" || res.Rows[1][0] != "replay" {
 		t.Errorf("unexpected row order: %v, %v", res.Rows[0], res.Rows[1])
 	}
 	for _, row := range res.Rows {

@@ -26,8 +26,10 @@ const zeroAllocSnapLen = 128
 // runZeroAlloc compares pcap replay paths into the same sketch
 // geometry: the legacy decode-then-ingest path (trace.FromPCAP
 // materializes every packet on the heap, then a sequential sketch
-// consumes the keys) against the pooled zero-allocation pipeline at one
-// queue and at N simulated receive queues (shard.ReplayPCAPBasic). The
+// consumes the keys) against the run-to-completion replay, which
+// extracts every key from a view into the pcap reader's buffer with no
+// per-packet allocation, at one queue and at N simulated receive
+// queues (shard.ReplayPCAPBasic). The
 // runner verifies bit-identical decode tables across all paths before
 // reporting throughput — a speedup that changed the sketch state would
 // be meaningless.
@@ -50,10 +52,10 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 
 	out := &TableResult{
 		ID:      "ext-zeroalloc",
-		Title:   "Zero-allocation pcap ingest: legacy decode-then-ingest vs pooled pipeline",
+		Title:   "Zero-allocation pcap ingest: legacy decode-then-ingest vs run-to-completion replay",
 		Columns: []string{"path", "queues", "Mpps", "speedup"},
 		Notes: []string{
-			"pooled pipeline: preallocated frame pool + FrameRef rings + in-slot key extraction (DESIGN.md §13); zero heap allocations per packet in steady state",
+			"replay: one goroutine per queue reads each record as a view into the pcap reader's buffer, extracts its key in place and batch-inserts (DESIGN.md §13); zero heap allocations per packet in steady state",
 			fmt.Sprintf("host has GOMAXPROCS=%d; the multi-queue row needs physical cores to scale", runtime.GOMAXPROCS(0)),
 		},
 	}
@@ -83,27 +85,27 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 	out.AddRow("legacy decode+ingest", 1, legacyMpps, 1.0)
 	wantTable := legacy.Decode()
 
-	// Pooled pipeline, one queue: same stream, no per-packet heap.
+	// Replay, one queue: same stream, no per-packet heap.
 	replayCfg := shard.ReplayConfig{
 		Queues: 1, Seed: cfg.Seed, Bytes: cfg.Bytes, Telemetry: cfg.Telemetry,
 	}
 	start = time.Now()
-	pooled1, st1, err := shard.ReplayPCAPBasic(replayCfg, sketchCfg, bytes.NewReader(data))
+	replay1, st1, err := shard.ReplayPCAPBasic(replayCfg, sketchCfg, bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	pooled1Sec := time.Since(start).Seconds()
+	replay1Sec := time.Since(start).Seconds()
 	if st1.Packets != uint64(len(legacyTrace.Packets)) {
-		return nil, fmt.Errorf("ext-zeroalloc: pooled 1-queue replayed %d packets, legacy decoded %d",
+		return nil, fmt.Errorf("ext-zeroalloc: 1-queue replay saw %d packets, legacy decoded %d",
 			st1.Packets, len(legacyTrace.Packets))
 	}
-	if err := diffDecodeTables(pooled1.Decode(), wantTable); err != nil {
-		return nil, fmt.Errorf("ext-zeroalloc: pooled 1-queue decode diverges: %w", err)
+	if err := diffDecodeTables(replay1.Decode(), wantTable); err != nil {
+		return nil, fmt.Errorf("ext-zeroalloc: 1-queue replay decode diverges: %w", err)
 	}
-	mpps1 := float64(st1.Packets) / pooled1Sec / 1e6
-	out.AddRow("pooled", 1, mpps1, mpps1/legacyMpps)
+	mpps1 := float64(st1.Packets) / replay1Sec / 1e6
+	out.AddRow("replay", 1, mpps1, mpps1/legacyMpps)
 
-	// Pooled pipeline, N queues: partition once (setup, untimed — a
+	// Replay, N queues: partition once (setup, untimed — a
 	// real NIC splits in hardware), then replay concurrently. Verified
 	// against an N-worker engine fed the same stream with the same
 	// seed: the RSS split is shared, so the merged sketches must match
@@ -115,11 +117,11 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 		}
 		replayCfg.Queues = queues
 		start = time.Now()
-		pooledN, stN, err := shard.ReplayQueues(replayCfg, shard.NewBasicFactory(sketchCfg, cfg.Telemetry), qs)
+		replayN, stN, err := shard.ReplayQueues(replayCfg, shard.NewBasicFactory(sketchCfg, cfg.Telemetry), qs)
 		if err != nil {
 			return nil, err
 		}
-		pooledNSec := time.Since(start).Seconds()
+		replayNSec := time.Since(start).Seconds()
 		if stN.Packets != st1.Packets {
 			return nil, fmt.Errorf("ext-zeroalloc: %d-queue replay saw %d packets, 1-queue saw %d",
 				queues, stN.Packets, st1.Packets)
@@ -131,12 +133,12 @@ func runZeroAlloc(cfg RunConfig) (*TableResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := diffDecodeTables(pooledN.Decode(), engTable); err != nil {
-			return nil, fmt.Errorf("ext-zeroalloc: pooled %d-queue decode diverges from %d-worker engine: %w",
+		if err := diffDecodeTables(replayN.Decode(), engTable); err != nil {
+			return nil, fmt.Errorf("ext-zeroalloc: %d-queue replay decode diverges from %d-worker engine: %w",
 				queues, queues, err)
 		}
-		mppsN := float64(stN.Packets) / pooledNSec / 1e6
-		out.AddRow("pooled", queues, mppsN, mppsN/legacyMpps)
+		mppsN := float64(stN.Packets) / replayNSec / 1e6
+		out.AddRow("replay", queues, mppsN, mppsN/legacyMpps)
 	}
 	return out, nil
 }

@@ -11,11 +11,9 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// RingOf is a single-producer single-consumer lock-free ring buffer,
-// mirroring the DPDK rings between the OVS datapath and the
-// measurement process. The element type is anything small enough to
-// copy by value: trace.Packet records on the decoded path, pooled
-// frame references (packet.FrameRef) on the zero-allocation path.
+// Ring is a single-producer single-consumer lock-free ring buffer of
+// packet records, mirroring the DPDK rings between the OVS datapath
+// and the measurement process.
 //
 // Each side keeps a private snapshot of the opposite index (headCache
 // for the producer, tailCache for the consumer) and refreshes it only
@@ -23,8 +21,8 @@ import (
 // DPDK cached-index optimization that cuts cross-core cache-line
 // traffic from one load per operation to roughly one per ring
 // traversal.
-type RingOf[T any] struct {
-	buf  []T
+type Ring struct {
+	buf  []trace.Packet
 	mask uint64
 	_    [40]byte // keep producer and consumer state on separate cache lines
 	// Producer cache line: the write index plus the producer's
@@ -40,31 +38,22 @@ type RingOf[T any] struct {
 	closed    atomic.Bool
 }
 
-// Ring is the packet-record ring of the decoded ingest path (the
-// original element type of this package; see RingOf for the generic
-// form).
-type Ring = RingOf[trace.Packet]
-
-// NewRing returns a packet-record ring with capacity rounded up to a
-// power of two (minimum 2).
-func NewRing(capacity int) *Ring { return NewRingOf[trace.Packet](capacity) }
-
-// NewRingOf returns a ring of T with capacity rounded up to a power of
-// two (minimum 2).
-func NewRingOf[T any](capacity int) *RingOf[T] {
+// NewRing returns a ring with capacity rounded up to a power of two
+// (minimum 2).
+func NewRing(capacity int) *Ring {
 	n := 2
 	for n < capacity {
 		n <<= 1
 	}
-	return &RingOf[T]{buf: make([]T, n), mask: uint64(n - 1)}
+	return &Ring{buf: make([]trace.Packet, n), mask: uint64(n - 1)}
 }
 
 // Capacity returns the usable slot count.
-func (r *RingOf[T]) Capacity() int { return len(r.buf) }
+func (r *Ring) Capacity() int { return len(r.buf) }
 
 // TryPush appends one element; it fails when the ring is full. Only
 // one goroutine may push.
-func (r *RingOf[T]) TryPush(p T) bool {
+func (r *Ring) TryPush(p trace.Packet) bool {
 	tail := r.tail.Load()
 	if tail-r.headCache >= uint64(len(r.buf)) {
 		r.headCache = r.head.Load()
@@ -80,7 +69,7 @@ func (r *RingOf[T]) TryPush(p T) bool {
 // TryPushN appends as many of ps as fit and returns the count (0 when
 // the ring is full). Slots are claimed with one index publication for
 // the whole burst. Only one goroutine may push.
-func (r *RingOf[T]) TryPushN(ps []T) int {
+func (r *Ring) TryPushN(ps []trace.Packet) int {
 	tail := r.tail.Load()
 	free := uint64(len(r.buf)) - (tail - r.headCache)
 	if free < uint64(len(ps)) {
@@ -102,7 +91,7 @@ func (r *RingOf[T]) TryPushN(ps []T) int {
 
 // TryPop removes one element; it fails when the ring is empty. Only
 // one goroutine may pop.
-func (r *RingOf[T]) TryPop(out *T) bool {
+func (r *Ring) TryPop(out *trace.Packet) bool {
 	head := r.head.Load()
 	if head == r.tailCache {
 		r.tailCache = r.tail.Load()
@@ -117,7 +106,7 @@ func (r *RingOf[T]) TryPop(out *T) bool {
 
 // TryPopN removes up to len(out) elements and returns the count (0
 // when the ring is empty). Only one goroutine may pop.
-func (r *RingOf[T]) TryPopN(out []T) int {
+func (r *Ring) TryPopN(out []trace.Packet) int {
 	head := r.head.Load()
 	avail := r.tailCache - head
 	if avail < uint64(len(out)) {
@@ -138,11 +127,11 @@ func (r *RingOf[T]) TryPopN(out []T) int {
 }
 
 // Close marks the producer side done; consumers drain and stop.
-func (r *RingOf[T]) Close() { r.closed.Store(true) }
+func (r *Ring) Close() { r.closed.Store(true) }
 
 // Closed reports whether the producer finished. A consumer should stop
 // only when Closed and a subsequent TryPop fails.
-func (r *RingOf[T]) Closed() bool { return r.closed.Load() }
+func (r *Ring) Closed() bool { return r.closed.Load() }
 
 // Len reports the queued element count (approximate under concurrency).
-func (r *RingOf[T]) Len() int { return int(r.tail.Load() - r.head.Load()) }
+func (r *Ring) Len() int { return int(r.tail.Load() - r.head.Load()) }

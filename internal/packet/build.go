@@ -34,14 +34,14 @@ func frameLen(key flowkey.FiveTuple, opt BuildOptions) (total, ethLen int) {
 // payload is zero-filled. The frame decodes back to the same key via
 // Decoder.FiveTuple (round-trip property used in tests and the OVS
 // pipeline). The whole frame is built into one exactly-sized buffer —
-// a single allocation; pooled callers that want none use AppendBuild.
+// a single allocation; callers that want none use AppendBuild.
 func Build(key flowkey.FiveTuple, opt BuildOptions) []byte {
 	return AppendBuild(nil, key, opt)
 }
 
 // AppendBuild appends the frame Build would return to dst and returns
-// the extended slice. When dst has capacity for the frame — a pool
-// slot, a reused scratch buffer — no allocation is performed; the
+// the extended slice. When dst has capacity for the frame — a reused
+// scratch buffer — no allocation is performed; the
 // frame region is zeroed before the headers are written, so reuse
 // cannot leak stale payload bytes into the new frame.
 func AppendBuild(dst []byte, key flowkey.FiveTuple, opt BuildOptions) []byte {

@@ -3,14 +3,14 @@ package packet
 import "cocosketch/internal/flowkey"
 
 // ExtractFiveTuple is the allocation-free 5-tuple extractor of the
-// pooled ingest pipeline. It accepts exactly the frames
+// run-to-completion replay path. It accepts exactly the frames
 // Decoder.FiveTuple accepts and produces the identical key (the
 // differential property is fuzzed in fuzz_test.go), but reports
 // failure as ok == false instead of constructing an error, so the
 // reject path — non-IP traffic, truncated frames — costs no
 // allocation either. The frame is only read within len(frame): the
-// extractor works directly on a pool slot's filled prefix with no
-// copying.
+// extractor works directly on a record view into a pcap reader's
+// buffer with no copying.
 //
 // Like Decoder.FiveTuple, it consumes one optional 802.1Q tag, folds
 // IPv6 addresses into the IPv4 key space, and leaves ports zero for

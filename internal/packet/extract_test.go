@@ -118,31 +118,25 @@ func TestExtractMatchesDecoder(t *testing.T) {
 	}
 }
 
-// TestExtractFromPoolSlot checks the pooled calling convention: the
-// extractor sees only the slot's filled prefix, and extracting from
-// the slot (whose capacity extends past the fill) is identical to
-// extracting from an exact-length copy — i.e. the parser never reads
-// past the fill length.
-func TestExtractFromPoolSlot(t *testing.T) {
-	p := NewPool(2, 2048)
+// TestExtractIgnoresSpareCapacity pins the view calling convention:
+// the extractor is handed a frame whose backing array extends past its
+// length (a record view into the pcap reader's buffer), and extracting
+// from it is identical to extracting from an exact-length copy — i.e.
+// the parser never reads past len(frame).
+func TestExtractIgnoresSpareCapacity(t *testing.T) {
+	buf := make([]byte, 2048)
 	for name, frame := range extractFrames() {
-		s, okR := p.Reserve()
-		if !okR {
-			t.Fatal("reserve failed")
-		}
-		buf := p.Bytes(s)
 		for i := range buf {
-			buf[i] = 0xAA // poison: a read past the fill would see this
+			buf[i] = 0xAA // poison: a read past the frame would see this
 		}
 		n := copy(buf, frame)
-		gotSlot, okSlot := ExtractFiveTuple(buf[:n])
+		gotView, okView := ExtractFiveTuple(buf[:n])
 		exact := append([]byte(nil), frame...)
 		gotExact, okExact := ExtractFiveTuple(exact)
-		if okSlot != okExact || gotSlot != gotExact {
-			t.Fatalf("%s: slot decode (%v,%v) != exact decode (%v,%v)",
-				name, gotSlot, okSlot, gotExact, okExact)
+		if okView != okExact || gotView != gotExact {
+			t.Fatalf("%s: view decode (%v,%v) != exact decode (%v,%v)",
+				name, gotView, okView, gotExact, okExact)
 		}
-		p.Recycle(s)
 	}
 }
 

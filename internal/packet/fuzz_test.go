@@ -6,15 +6,15 @@ import (
 	"cocosketch/internal/flowkey"
 )
 
-// maxFuzzFrame bounds the frames replayed through the pooled slot in
-// FuzzDecoder (fuzzing can generate inputs larger than any slot).
+// maxFuzzFrame bounds the frames replayed through the poisoned buffer
+// in FuzzDecoder (fuzzing can generate inputs of any size).
 const maxFuzzFrame = 4096
 
 // FuzzDecoder throws arbitrary frames at the 5-tuple extractors: they
-// must never panic or read out of bounds, the pooled lean extractor
-// must agree bit for bit with the error-reporting Decoder, and
-// extraction from a pool slot's filled prefix must match extraction
-// from an exact-length copy (no reads past the fill length). Seeds
+// must never panic or read out of bounds, the lean extractor must
+// agree bit for bit with the error-reporting Decoder, and extraction
+// from the prefix of a larger buffer must match extraction from an
+// exact-length copy (no reads past len(frame)). Seeds
 // cover the adversarial header shapes: truncated VLAN tags, IPv4
 // options (IHL > 5), and fragment offsets; the on-disk corpus under
 // testdata/fuzz/FuzzDecoder pins the same shapes for CI's fuzz-smoke
@@ -40,7 +40,7 @@ func FuzzDecoder(f *testing.F) {
 	// Non-zero fragment offset: no L4 header at the L4 position.
 	f.Add(fragmentFrame(tcp))
 
-	pool := NewPool(1, maxFuzzFrame)
+	buf := make([]byte, maxFuzzFrame)
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var d Decoder
 		key, err := d.FiveTuple(frame)
@@ -51,24 +51,18 @@ func FuzzDecoder(f *testing.F) {
 		if ok && lean != key {
 			t.Fatalf("extract %v != decoder %v", lean, key)
 		}
-		// Pooled convention: decode from a slot prefix whose spare
-		// capacity is poisoned; a read past the fill diverges here.
+		// View convention: decode from a buffer prefix whose spare
+		// capacity is poisoned; a read past the frame diverges here.
 		if len(frame) <= maxFuzzFrame {
-			s, okR := pool.Reserve()
-			if !okR {
-				t.Fatal("pool starved in fuzz")
-			}
-			buf := pool.Bytes(s)
 			for i := range buf {
 				buf[i] = 0xAA
 			}
 			n := copy(buf, frame)
-			slotKey, slotOK := ExtractFiveTuple(buf[:n])
-			if slotOK != ok || (ok && slotKey != lean) {
-				t.Fatalf("slot decode (%v,%v) != exact decode (%v,%v)",
-					slotKey, slotOK, lean, ok)
+			viewKey, viewOK := ExtractFiveTuple(buf[:n])
+			if viewOK != ok || (ok && viewKey != lean) {
+				t.Fatalf("view decode (%v,%v) != exact decode (%v,%v)",
+					viewKey, viewOK, lean, ok)
 			}
-			pool.Recycle(s)
 		}
 		if err != nil {
 			return

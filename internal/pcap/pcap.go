@@ -43,21 +43,25 @@ type Header struct {
 	OriginalLength int
 }
 
-// Reader decodes a pcap stream.
+// Reader decodes a pcap stream. Its bufio buffer holds one whole
+// MaxSnapLen record, so Next returns every record body as a view into
+// that buffer without copying it out or allocating.
 type Reader struct {
-	r        *bufio.Reader
-	order    binary.ByteOrder
-	nanos    bool
-	linkType uint32
-	snapLen  uint32
-	buf      []byte
-	rec      [16]byte // record-header scratch; a local would escape through io.ReadFull
+	r         *bufio.Reader
+	bigEndian bool  // the capture's byte order
+	fracNanos int64 // ns per timestamp fraction unit: 1000 (µs magic) or 1 (ns magic)
+	linkType  uint32
+	snapLen   uint32
 }
+
+// recordHeaderLen is the size of a record header: ts_sec, ts_frac,
+// incl_len, orig_len.
+const recordHeaderLen = 16
 
 // NewReader parses the global header and returns a reader positioned at
 // the first record.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, recordHeaderLen+MaxSnapLen)
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
@@ -67,21 +71,25 @@ func NewReader(r io.Reader) (*Reader, error) {
 	magicBE := binary.BigEndian.Uint32(hdr[0:4])
 	switch {
 	case magicLE == MagicMicroseconds:
-		pr.order = binary.LittleEndian
+		pr.fracNanos = 1000
 	case magicLE == MagicNanoseconds:
-		pr.order, pr.nanos = binary.LittleEndian, true
+		pr.fracNanos = 1
 	case magicBE == MagicMicroseconds:
-		pr.order = binary.BigEndian
+		pr.bigEndian, pr.fracNanos = true, 1000
 	case magicBE == MagicNanoseconds:
-		pr.order, pr.nanos = binary.BigEndian, true
+		pr.bigEndian, pr.fracNanos = true, 1
 	default:
 		return nil, fmt.Errorf("%w: %#08x", ErrBadMagic, magicLE)
 	}
-	if major := pr.order.Uint16(hdr[4:6]); major != 2 {
+	major := binary.LittleEndian.Uint16(hdr[4:6])
+	if pr.bigEndian {
+		major = binary.BigEndian.Uint16(hdr[4:6])
+	}
+	if major != 2 {
 		return nil, fmt.Errorf("pcap: unsupported version %d", major)
 	}
-	pr.snapLen = pr.order.Uint32(hdr[16:20])
-	pr.linkType = pr.order.Uint32(hdr[20:24])
+	pr.snapLen = pr.u32(hdr[16:20])
+	pr.linkType = pr.u32(hdr[20:24])
 	return pr, nil
 }
 
@@ -92,89 +100,61 @@ func (r *Reader) LinkType() uint32 { return r.linkType }
 // SnapLen returns the capture's snapshot length.
 func (r *Reader) SnapLen() uint32 { return r.snapLen }
 
-// Next returns the next record. The returned data slice is reused by
-// subsequent calls; copy it to retain. io.EOF signals a clean end of
-// file.
+// Next returns the next record. The data slice is a view into the
+// reader's buffer, valid only until the next call to Next or ReadInto;
+// copy it to retain. Its capacity ends at the record, so appending to
+// it never overwrites the stream. io.EOF signals a clean end of file.
 func (r *Reader) Next() (Header, []byte, error) {
-	var rec [16]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err == io.EOF {
+	rec, err := r.r.Peek(recordHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(rec) == 0 {
 			return Header{}, nil, io.EOF
+		}
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
 		return Header{}, nil, fmt.Errorf("pcap: reading record header: %w", err)
 	}
-	sec := r.order.Uint32(rec[0:4])
-	frac := r.order.Uint32(rec[4:8])
-	capLen := r.order.Uint32(rec[8:12])
-	origLen := r.order.Uint32(rec[12:16])
+	capLen := r.u32(rec[8:12])
 	if capLen > MaxSnapLen {
 		return Header{}, nil, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
 	}
-	if cap(r.buf) < int(capLen) {
-		r.buf = make([]byte, capLen)
-	}
-	data := r.buf[:capLen]
-	if _, err := io.ReadFull(r.r, data); err != nil {
+	end := recordHeaderLen + int(capLen)
+	rec, err = r.r.Peek(end)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return Header{}, nil, fmt.Errorf("pcap: reading record body: %w", err)
 	}
-	ts := time.Unix(int64(sec), 0)
-	if r.nanos {
-		ts = ts.Add(time.Duration(frac) * time.Nanosecond)
-	} else {
-		ts = ts.Add(time.Duration(frac) * time.Microsecond)
-	}
+	// Discard cannot fail here: the Peek above buffered end bytes.
+	_, _ = r.r.Discard(end)
 	return Header{
-		Timestamp:      ts,
+		Timestamp:      time.Unix(int64(r.u32(rec[0:4])), int64(r.u32(rec[4:8]))*r.fracNanos),
 		CaptureLength:  int(capLen),
-		OriginalLength: int(origLen),
-	}, data, nil
+		OriginalLength: int(r.u32(rec[12:16])),
+	}, rec[recordHeaderLen:end:end], nil
 }
 
-// ReadInto reads the next record body into dst — the zero-allocation
-// form of Next used by the pooled replay pipeline, where dst is a
-// frame-pool slot filled in place. A record longer than dst is
-// truncated to len(dst) (NIC snapshot-length semantics) and the
-// remainder is discarded without allocating; the returned Header keeps
-// the record's full CaptureLength so callers can count truncations.
-// The returned n is the number of bytes stored in dst. io.EOF signals
-// a clean end of file.
+// u32 decodes a header field in the capture's byte order.
+func (r *Reader) u32(b []byte) uint32 {
+	if r.bigEndian {
+		return binary.BigEndian.Uint32(b)
+	}
+	return binary.LittleEndian.Uint32(b)
+}
+
+// ReadInto copies the next record body into dst. A record longer than
+// dst is truncated to len(dst) (NIC snapshot-length semantics); the
+// returned Header keeps the record's full CaptureLength so callers can
+// count truncations. The returned n is the number of bytes stored in
+// dst. io.EOF signals a clean end of file.
 func (r *Reader) ReadInto(dst []byte) (Header, int, error) {
-	if _, err := io.ReadFull(r.r, r.rec[:]); err != nil {
-		if err == io.EOF {
-			return Header{}, 0, io.EOF
-		}
-		return Header{}, 0, fmt.Errorf("pcap: reading record header: %w", err)
+	hdr, data, err := r.Next()
+	if err != nil {
+		return Header{}, 0, err
 	}
-	sec := r.order.Uint32(r.rec[0:4])
-	frac := r.order.Uint32(r.rec[4:8])
-	capLen := r.order.Uint32(r.rec[8:12])
-	origLen := r.order.Uint32(r.rec[12:16])
-	if capLen > MaxSnapLen {
-		return Header{}, 0, fmt.Errorf("pcap: capture length %d exceeds limit", capLen)
-	}
-	n := int(capLen)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if _, err := io.ReadFull(r.r, dst[:n]); err != nil {
-		return Header{}, 0, fmt.Errorf("pcap: reading record body: %w", err)
-	}
-	if rest := int(capLen) - n; rest > 0 {
-		if _, err := r.r.Discard(rest); err != nil {
-			return Header{}, 0, fmt.Errorf("pcap: discarding truncated record body: %w", err)
-		}
-	}
-	ts := time.Unix(int64(sec), 0)
-	if r.nanos {
-		ts = ts.Add(time.Duration(frac) * time.Nanosecond)
-	} else {
-		ts = ts.Add(time.Duration(frac) * time.Microsecond)
-	}
-	return Header{
-		Timestamp:      ts,
-		CaptureLength:  int(capLen),
-		OriginalLength: int(origLen),
-	}, n, nil
+	return hdr, copy(dst, data), nil
 }
 
 // Writer encodes a pcap stream (little endian, microsecond timestamps).

@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -145,21 +146,102 @@ func TestShortGlobalHeader(t *testing.T) {
 	}
 }
 
-func TestTruncatedRecordBody(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, LinkTypeEthernet, 65535)
-	_ = w.WritePacket(time.Unix(0, 0), make([]byte, 50), 50)
-	_ = w.Flush()
-	full := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(full[:len(full)-10]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Next(); err == nil {
-		t.Fatal("truncated body read without error")
+// readers returns the two record-read paths under test, each wrapped
+// to report only the error: Next, and ReadInto into a buffer that can
+// hold a MaxSnapLen record.
+func readers() map[string]func(*Reader) error {
+	buf := make([]byte, MaxSnapLen)
+	return map[string]func(*Reader) error{
+		"Next": func(r *Reader) error {
+			_, _, err := r.Next()
+			return err
+		},
+		"ReadInto": func(r *Reader) error {
+			_, _, err := r.ReadInto(buf)
+			return err
+		},
 	}
 }
 
+// oneRecord encodes a capture holding a single record of n bytes
+// (byte i of the body is i mod 251).
+func oneRecord(t *testing.T, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, LinkTypeEthernet, MaxSnapLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i % 251)
+	}
+	if err := w.WritePacket(time.Unix(0, 0), body, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTruncatedRecordBody cuts a stream inside a record header and at
+// several points inside a record body, for a small record and for one
+// longer than bufio's default buffer: both read paths must return an
+// error, not panic and not report a clean EOF.
+func TestTruncatedRecordBody(t *testing.T) {
+	for _, size := range []int{50, 8192} {
+		full := oneRecord(t, size)
+		for _, cut := range []int{24 + 7, 24 + 16, 24 + 16 + 1, len(full) - 10, len(full) - 1} {
+			for name, read := range readers() {
+				r, err := NewReader(bytes.NewReader(full[:cut]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := read(r); err == nil || errors.Is(err, io.EOF) {
+					t.Fatalf("%s: %d-byte record cut at %d: err = %v, want a read error", name, size, cut, err)
+				}
+			}
+		}
+	}
+}
+
+// TestMaxSnapLenRecord reads a record of exactly MaxSnapLen bytes, the
+// largest the reader's buffer must hold in one view, through both read
+// paths, and checks the stream ends cleanly after it.
+func TestMaxSnapLenRecord(t *testing.T) {
+	data := oneRecord(t, MaxSnapLen)
+	want := data[24+16:]
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, got, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.CaptureLength != MaxSnapLen || !bytes.Equal(got, want) {
+		t.Fatalf("Next: %d bytes (hdr %+v), want the %d-byte body", len(got), hdr, MaxSnapLen)
+	}
+	if _, _, err := r.Next(); err != io.EOF {
+		t.Fatalf("Next after the record: %v, want io.EOF", err)
+	}
+	r, err = NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, MaxSnapLen)
+	if _, n, err := r.ReadInto(buf); err != nil || n != MaxSnapLen || !bytes.Equal(buf, want) {
+		t.Fatalf("ReadInto: n=%d err=%v, want the %d-byte body", n, err, MaxSnapLen)
+	}
+	if _, _, err := r.ReadInto(buf); err != io.EOF {
+		t.Fatalf("ReadInto after the record: %v, want io.EOF", err)
+	}
+}
+
+// TestOversizeCaptureLengthRejected checks a record one byte over
+// MaxSnapLen is refused on both read paths, whether or not its body
+// is present.
 func TestOversizeCaptureLengthRejected(t *testing.T) {
 	var buf bytes.Buffer
 	hdr := make([]byte, 24)
@@ -169,12 +251,18 @@ func TestOversizeCaptureLengthRejected(t *testing.T) {
 	rec := make([]byte, 16)
 	binary.LittleEndian.PutUint32(rec[8:12], MaxSnapLen+1)
 	buf.Write(rec)
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := r.Next(); err == nil {
-		t.Fatal("oversize record accepted")
+	headerOnly := append([]byte(nil), buf.Bytes()...)
+	buf.Write(make([]byte, MaxSnapLen+1))
+	for _, data := range [][]byte{headerOnly, buf.Bytes()} {
+		for name, read := range readers() {
+			r, err := NewReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := read(r); err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("%s: oversize record: err = %v, want a length error", name, err)
+			}
+		}
 	}
 }
 

@@ -3,51 +3,36 @@ package shard
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/ovs"
 	"cocosketch/internal/packet"
 	"cocosketch/internal/pcap"
 	"cocosketch/internal/telemetry"
 )
 
-// This file is the zero-allocation replay pipeline: the Engine's
-// dispatcher/worker split rebuilt for raw pcap streams, with pooled
-// frame buffers instead of decoded trace.Packet values. Each simulated
-// receive queue runs one reader goroutine (pcap records → pool slots,
-// filled in place by ReadInto) and one worker goroutine (slot → 5-tuple
-// via packet.ExtractFiveTuple → InsertBatch → recycle) connected by an
-// SPSC ring of 12-byte packet.FrameRef handles. In steady state the
-// path allocates nothing: the pool is one up-front allocation, the ring
-// carries value-type refs, and extraction writes into fixed-size
-// comparable keys. When every slot is in flight the reader backs off
-// (pool starvation → Gosched) instead of allocating or dropping — the
-// backpressure contract of DESIGN.md §13, which also specifies the full
-// slot ownership protocol.
+// This file is the run-to-completion replay path: the Engine's
+// per-worker sketches fed straight from raw pcap streams, the way an
+// OVS-DPDK PMD thread polls its receive queue and takes each packet to
+// the end (paper §6.1). Each simulated receive queue is one goroutine
+// that reads a record as a view into its pcap.Reader's buffer, extracts
+// the 5-tuple from that view with packet.ExtractFiveTuple before the
+// next read invalidates it, and batch-inserts every burst of keys into
+// the queue's private sketch. Nothing crosses goroutines until the
+// final merge, and the steady-state loop allocates nothing (DESIGN.md
+// §13).
 
-// ReplayConfig parameterizes a pooled replay run.
+// ReplayConfig parameterizes a replay run.
 type ReplayConfig struct {
-	// Queues is the number of simulated NIC receive queues, each with a
-	// dedicated reader/worker goroutine pair (default 1).
+	// Queues is the number of simulated NIC receive queues, each
+	// replayed by its own goroutine (default 1).
 	Queues int
-	// PoolSlots is the per-queue frame pool size in slots (default
-	// DefaultPoolSlots). Bounds the number of frames in flight per
-	// queue; when exhausted the reader waits, it never allocates.
-	PoolSlots int
-	// SlotCap is the byte capacity of each pool slot (default
-	// DefaultSlotCap). Records longer than SlotCap are truncated on
-	// read, NIC snapshot-length style, and counted in ReplayStats.
+	// SlotCap is the number of frame bytes the extractor may see
+	// (default DefaultSlotCap). Records longer than SlotCap are parsed
+	// from their SlotCap-byte prefix, NIC snapshot-length style, and
+	// counted in ReplayStats.Truncated.
 	SlotCap int
-	// RingCapacity is the per-queue handoff ring size. It defaults to
-	// PoolSlots: a ring at least as large as the pool can never fill
-	// (in-flight refs ≤ in-flight slots), leaving pool starvation as
-	// the single backpressure signal.
-	RingCapacity int
-	// Burst is the read and drain burst size (default DefaultBurst).
-	Burst int
 	// Seed drives the RSS split when a stream is partitioned into
 	// queues; it must match the shard Engine seed being compared
 	// against for bit-identical replays.
@@ -55,16 +40,12 @@ type ReplayConfig struct {
 	// Bytes weights each packet by its original wire length instead of
 	// counting packets, mirroring Config.Bytes.
 	Bytes bool
-	// Telemetry, when non-nil, receives the pipeline's burst-level
+	// Telemetry, when non-nil, receives the replay's burst-level
 	// metrics (the "ingest." names in DESIGN.md §11).
 	Telemetry *telemetry.Registry
 }
 
-// DefaultPoolSlots is the per-queue pool size when ReplayConfig leaves
-// PoolSlots zero.
-const DefaultPoolSlots = 1024
-
-// DefaultSlotCap is the per-slot byte capacity when ReplayConfig leaves
+// DefaultSlotCap is the per-frame byte limit when ReplayConfig leaves
 // SlotCap zero — enough for a full 1500-byte MTU frame plus headers.
 const DefaultSlotCap = 2048
 
@@ -78,163 +59,95 @@ type ReplayStats struct {
 	// headers) — routed to queue 0 by PartitionRSS and dropped here,
 	// mirroring how trace.FromPCAP skips them.
 	Skipped uint64
-	// Truncated counts records longer than a pool slot, stored as a
+	// Truncated counts records longer than SlotCap, parsed from their
 	// SlotCap-byte prefix.
 	Truncated uint64
-	// Starved counts reader stalls on an exhausted pool (backpressure
-	// events, not lost packets).
+	// Starved is always 0: a run-to-completion queue has no hand-off
+	// to wait on. It stays for callers that report it.
 	Starved uint64
-	// Recycled counts slots returned to the pools; equal to
-	// Packets+Skipped after a clean run.
-	Recycled uint64
 }
 
-// replayTel groups the pipeline's telemetry instruments; every field is
+// replayTel groups the replay's telemetry instruments; every field is
 // nil (and every record call a nil-check) when the registry is nil.
 type replayTel struct {
-	starved   *telemetry.Counter
-	recycled  *telemetry.Counter
 	truncated *telemetry.Counter
 	skipped   *telemetry.Counter
 	batchSize *telemetry.Histogram
 }
 
-// newReplayTel registers the shared pipeline metrics.
+// newReplayTel registers the shared replay metrics.
 func newReplayTel(r *telemetry.Registry) replayTel {
 	return replayTel{
-		starved:   r.Counter("ingest.pool_starved"),
-		recycled:  r.Counter("ingest.recycled"),
 		truncated: r.Counter("ingest.truncated"),
 		skipped:   r.Counter("ingest.skipped"),
 		batchSize: r.Histogram("ingest.batch_size"),
 	}
 }
 
-// queuePipe is one receive queue's pipeline state. The reader side
-// (readBurst and its fields) belongs to the reader goroutine, the drain
-// side to the worker goroutine; the plain counters are each written by
-// exactly one side and read only after both goroutines have joined.
-// Both steps are plain methods so a single goroutine can alternate them
-// — that is how the zero-allocation property is pinned by
-// testing.AllocsPerRun.
-type queuePipe[S Sketch[S]] struct {
-	pool   *packet.Pool
-	ring   *ovs.RingOf[packet.FrameRef]
-	reader *pcap.Reader
-	sketch S
-	burst  int
-	bytes  bool
+// queueLoop is one receive queue's state: a positioned pcap reader,
+// the queue's private sketch and its burst scratch. Exactly one
+// goroutine owns it; the counters are read only after that goroutine
+// has returned.
+type queueLoop[S Sketch[S]] struct {
+	reader  *pcap.Reader
+	sketch  S
+	slotCap int
+	bytes   bool
+	keys    []flowkey.FiveTuple
+	ws      []uint64
+	done    bool
 
-	// Reader-side state.
-	refs      []packet.FrameRef
-	done      bool
-	starved   uint64
+	inserted  uint64
+	skipped   uint64
 	truncated uint64
 
-	// Worker-side state.
-	drain    []packet.FrameRef
-	keys     []flowkey.FiveTuple
-	ws       []uint64
-	inserted uint64
-	skipped  uint64
-	recycled uint64
-
-	tel    replayTel
-	telOcc *telemetry.Gauge
+	tel replayTel
 }
 
-// newQueuePipe builds one queue pipeline over a positioned pcap reader.
-func newQueuePipe[S Sketch[S]](cfg ReplayConfig, i int, r *pcap.Reader, sketch S) *queuePipe[S] {
-	q := &queuePipe[S]{
-		pool:   packet.NewPool(cfg.PoolSlots, cfg.SlotCap),
-		ring:   ovs.NewRingOf[packet.FrameRef](cfg.RingCapacity),
-		reader: r,
-		sketch: sketch,
-		burst:  cfg.Burst,
-		bytes:  cfg.Bytes,
-		refs:   make([]packet.FrameRef, 0, cfg.Burst),
-		drain:  make([]packet.FrameRef, cfg.Burst),
-		keys:   make([]flowkey.FiveTuple, cfg.Burst),
-		tel:    newReplayTel(cfg.Telemetry),
-		telOcc: cfg.Telemetry.Gauge(fmt.Sprintf("ingest.pool_occupancy.q%d", i)),
+// newQueueLoop builds one queue's loop over a positioned pcap reader.
+func newQueueLoop[S Sketch[S]](cfg ReplayConfig, r *pcap.Reader, sketch S) *queueLoop[S] {
+	q := &queueLoop[S]{
+		reader:  r,
+		sketch:  sketch,
+		slotCap: cfg.SlotCap,
+		bytes:   cfg.Bytes,
+		keys:    make([]flowkey.FiveTuple, DefaultBurst),
+		tel:     newReplayTel(cfg.Telemetry),
 	}
 	if cfg.Bytes {
-		q.ws = make([]uint64, cfg.Burst)
+		q.ws = make([]uint64, DefaultBurst)
 	}
 	return q
 }
 
-// readBurst reserves up to one burst of pool slots, fills them in place
-// with ReadInto, and pushes their FrameRefs into the ring (spinning on
-// a full ring, which a default-sized ring makes unreachable). It
-// returns the number of refs pushed; zero with q.done still false
-// means the pool is starved and the caller should yield and retry.
-func (q *queuePipe[S]) readBurst() (int, error) {
-	if q.done {
-		return 0, nil
-	}
-	refs := q.refs[:0]
-	for len(refs) < q.burst {
-		s, ok := q.pool.Reserve()
-		if !ok {
-			q.starved++
-			q.tel.starved.Inc()
-			break
-		}
-		hdr, n, err := q.reader.ReadInto(q.pool.Bytes(s))
+// step reads up to DefaultBurst records, extracts each key from the
+// reader's buffer before the next read invalidates it, and inserts the
+// burst's keys into the queue sketch. At end of stream it sets q.done.
+// It is the whole loop body, so the allocation gate drives exactly the
+// code production runs.
+func (q *queueLoop[S]) step() error {
+	m, n := 0, 0
+	for ; n < len(q.keys); n++ {
+		hdr, frame, err := q.reader.Next()
 		if err == io.EOF {
-			q.pool.Recycle(s)
 			q.done = true
 			break
 		}
 		if err != nil {
-			q.pool.Recycle(s)
-			q.refs = refs
-			return 0, err
+			return err
 		}
-		if hdr.CaptureLength > n {
+		if len(frame) > q.slotCap {
+			frame = frame[:q.slotCap]
 			q.truncated++
 			q.tel.truncated.Inc()
 		}
-		refs = append(refs, packet.FrameRef{
-			Slot: s,
-			Len:  uint32(n),
-			Orig: uint32(hdr.OriginalLength),
-		})
-	}
-	q.refs = refs
-	for off := 0; off < len(refs); {
-		m := q.ring.TryPushN(refs[off:])
-		off += m
-		if off < len(refs) {
-			runtime.Gosched()
-		}
-	}
-	q.telOcc.Set(int64(q.pool.InFlight()))
-	return len(refs), nil
-}
-
-// drainBurst pops one burst of FrameRefs, extracts each key straight
-// out of its pool slot, batch-inserts into the queue's sketch, and
-// recycles the slots. Slots are recycled only after the insert returns
-// — the worker owns them until the frame is fully consumed (DESIGN.md
-// §13). Returns the number of refs consumed.
-func (q *queuePipe[S]) drainBurst() int {
-	n := q.ring.TryPopN(q.drain)
-	if n == 0 {
-		return 0
-	}
-	m, skip := 0, uint64(0)
-	for j := 0; j < n; j++ {
-		ref := &q.drain[j]
-		key, ok := packet.ExtractFiveTuple(q.pool.Bytes(ref.Slot)[:ref.Len])
+		key, ok := packet.ExtractFiveTuple(frame)
 		if !ok {
-			skip++
 			continue
 		}
 		q.keys[m] = key
 		if q.bytes {
-			q.ws[m] = uint64(ref.Orig)
+			q.ws[m] = uint64(hdr.OriginalLength)
 		}
 		m++
 	}
@@ -245,62 +158,11 @@ func (q *queuePipe[S]) drainBurst() int {
 			q.sketch.InsertBatchUnit(q.keys[:m])
 		}
 	}
-	for j := 0; j < n; j++ {
-		q.pool.Recycle(q.drain[j].Slot)
-	}
+	skip := uint64(n - m)
 	q.inserted += uint64(m)
 	q.skipped += skip
-	q.recycled += uint64(n)
 	q.tel.skipped.Add(skip)
-	q.tel.recycled.Add(uint64(n))
 	q.tel.batchSize.Observe(uint64(n))
-	return n
-}
-
-// runPipes drives every queue's reader/worker goroutine pair to
-// completion. The shutdown protocol matches runWorker: the reader
-// closes the ring after its final push, and the worker re-polls once
-// after seeing closed-and-empty to drain a push that raced the check.
-func runPipes[S Sketch[S]](pipes []*queuePipe[S]) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(pipes))
-	for i, q := range pipes {
-		wg.Add(2)
-		go func(i int, q *queuePipe[S]) {
-			defer wg.Done()
-			defer q.ring.Close()
-			for !q.done {
-				n, err := q.readBurst()
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				if n == 0 && !q.done {
-					runtime.Gosched()
-				}
-			}
-		}(i, q)
-		go func(q *queuePipe[S]) {
-			defer wg.Done()
-			for {
-				if q.drainBurst() == 0 {
-					if q.ring.Closed() {
-						if q.drainBurst() == 0 {
-							return
-						}
-					} else {
-						runtime.Gosched()
-					}
-				}
-			}
-		}(q)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("shard: replay queue %d: %w", i, err)
-		}
-	}
 	return nil
 }
 
@@ -309,41 +171,62 @@ func normalizeReplay(cfg ReplayConfig) ReplayConfig {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 1
 	}
-	if cfg.PoolSlots <= 0 {
-		cfg.PoolSlots = DefaultPoolSlots
-	}
 	if cfg.SlotCap <= 0 {
 		cfg.SlotCap = DefaultSlotCap
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = cfg.PoolSlots
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = DefaultBurst
 	}
 	return cfg
 }
 
-// collectStats folds the per-pipe counters into one ReplayStats.
-func collectStats[S Sketch[S]](pipes []*queuePipe[S]) ReplayStats {
-	st := ReplayStats{Queues: len(pipes)}
-	for _, q := range pipes {
+// replayReaders runs one goroutine per reader to the end of its stream
+// and merges the per-queue sketches (newSketch follows the New
+// contract: indices 0..len(readers)-1 build queue sketches, index
+// len(readers) builds the merge target).
+func replayReaders[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader) (S, ReplayStats, error) {
+	loops := make([]*queueLoop[S], len(readers))
+	for i, r := range readers {
+		loops[i] = newQueueLoop(cfg, r, newSketch(i))
+	}
+	errs := make([]error, len(loops))
+	var wg sync.WaitGroup
+	for i, q := range loops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !q.done && errs[i] == nil {
+				errs[i] = q.step()
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := ReplayStats{Queues: len(loops)}
+	for _, q := range loops {
 		st.Packets += q.inserted
 		st.Skipped += q.skipped
 		st.Truncated += q.truncated
-		st.Starved += q.starved
-		st.Recycled += q.recycled
 	}
-	return st
+	var zero S
+	for i, err := range errs {
+		if err != nil {
+			return zero, st, fmt.Errorf("shard: replay queue %d: %w", i, err)
+		}
+	}
+	merged := newSketch(len(loops))
+	for i, q := range loops {
+		if err := merged.Merge(q.sketch); err != nil {
+			return zero, st, fmt.Errorf("shard: merging replay queue %d: %w", i, err)
+		}
+	}
+	return merged, st, nil
 }
 
-// ReplayQueues replays pre-partitioned receive queues through the
-// pooled pipeline, one reader/worker pair per queue, and merges the
-// per-queue sketches into one (newSketch follows the New contract:
-// indices 0..len(queues)-1 build queue sketches, index len(queues)
-// builds the merge target). Use pcap.PartitionRSS with the same seed
-// and queue count as a comparison Engine to get bit-identical sketch
-// state — queue i's packets are exactly worker i's packets.
+// ReplayQueues replays pre-partitioned receive queues, one goroutine
+// per queue, and merges the per-queue sketches into one (newSketch
+// follows the New contract: indices 0..len(queues)-1 build queue
+// sketches, index len(queues) builds the merge target). Use
+// pcap.PartitionRSS with the same seed and queue count as a comparison
+// Engine to get bit-identical sketch state — queue i's packets are
+// exactly worker i's packets.
 func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues []*pcap.Queue) (S, ReplayStats, error) {
 	cfg.Queues = len(queues)
 	cfg = normalizeReplay(cfg)
@@ -351,31 +234,22 @@ func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues
 	if len(queues) == 0 {
 		return zero, ReplayStats{}, fmt.Errorf("shard: ReplayQueues needs at least one queue")
 	}
-	pipes := make([]*queuePipe[S], len(queues))
+	readers := make([]*pcap.Reader, len(queues))
 	for i, qu := range queues {
 		r, err := qu.Open()
 		if err != nil {
 			return zero, ReplayStats{}, err
 		}
-		pipes[i] = newQueuePipe(cfg, i, r, newSketch(i))
+		readers[i] = r
 	}
-	if err := runPipes(pipes); err != nil {
-		return zero, collectStats(pipes), err
-	}
-	merged := newSketch(len(queues))
-	for i, q := range pipes {
-		if err := merged.Merge(q.sketch); err != nil {
-			return zero, collectStats(pipes), fmt.Errorf("shard: merging replay queue %d: %w", i, err)
-		}
-	}
-	return merged, collectStats(pipes), nil
+	return replayReaders(cfg, newSketch, readers)
 }
 
-// ReplayPCAP replays one raw pcap stream through the pooled pipeline.
-// With Queues ≤ 1 the stream feeds a single reader/worker pair
-// directly — no partition pass, no extra copy of the capture. With
-// Queues > 1 the stream is first split with pcap.PartitionRSS (a
-// one-time allocating setup pass) and then replayed concurrently.
+// ReplayPCAP replays one raw pcap stream. With Queues ≤ 1 the stream
+// feeds a single queue directly — no partition pass, no extra copy of
+// the capture. With Queues > 1 the stream is first split with
+// pcap.PartitionRSS (a one-time allocating setup pass) and then
+// replayed concurrently.
 func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Reader) (S, ReplayStats, error) {
 	cfg = normalizeReplay(cfg)
 	var zero S
@@ -387,15 +261,7 @@ func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Rea
 		if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
 			return zero, ReplayStats{}, fmt.Errorf("shard: replay supports only Ethernet captures, got link type %d", lt)
 		}
-		pipes := []*queuePipe[S]{newQueuePipe(cfg, 0, pr, newSketch(0))}
-		if err := runPipes(pipes); err != nil {
-			return zero, collectStats(pipes), err
-		}
-		merged := newSketch(1)
-		if err := merged.Merge(pipes[0].sketch); err != nil {
-			return zero, collectStats(pipes), err
-		}
-		return merged, collectStats(pipes), nil
+		return replayReaders(cfg, newSketch, []*pcap.Reader{pr})
 	}
 	queues, err := pcap.PartitionRSS(r, cfg.Queues, cfg.Seed)
 	if err != nil {

@@ -66,10 +66,10 @@ func diffTables(t *testing.T, got, want map[flowkey.FiveTuple]uint64) {
 	}
 }
 
-// TestReplayOneQueueMatchesSequential pins the tentpole's correctness
-// anchor: a 1-queue pooled replay produces the bit-identical decode
-// table of the legacy FromPCAP + sequential-sketch path, in both
-// packet-count and byte-weight modes.
+// TestReplayOneQueueMatchesSequential pins the correctness anchor: a
+// 1-queue replay produces the bit-identical decode table of the legacy
+// FromPCAP + sequential-sketch path, in both packet-count and
+// byte-weight modes.
 func TestReplayOneQueueMatchesSequential(t *testing.T) {
 	_, data := replayCapture(t, 20000, 256)
 	for _, bytesMode := range []bool{false, true} {
@@ -83,14 +83,14 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 		if st.Skipped != 0 {
 			t.Fatalf("bytes=%v: skipped %d packets of a fully decodable trace", bytesMode, st.Skipped)
 		}
-		if st.Packets == 0 || st.Recycled != st.Packets {
-			t.Fatalf("bytes=%v: stats %+v: recycled must equal inserted", bytesMode, st)
+		if st.Packets != 20000 || st.Starved != 0 {
+			t.Fatalf("bytes=%v: stats %+v: want 20000 packets and no starvation", bytesMode, st)
 		}
 	}
 }
 
 // TestReplayQueuesMatchesEngine pins the multi-queue half: an N-queue
-// pooled replay of an RSS-partitioned capture reproduces an N-worker
+// replay of an RSS-partitioned capture reproduces an N-worker
 // Engine's merged sketch bit for bit — same seed, same split, same
 // per-worker insert order.
 func TestReplayQueuesMatchesEngine(t *testing.T) {
@@ -122,8 +122,8 @@ func TestReplayQueuesMatchesEngine(t *testing.T) {
 }
 
 // TestReplaySkipsUndecodableFrames checks the FromPCAP-mirroring skip
-// convention: frames the extractor rejects are counted, recycled, and
-// excluded from the sketch, and the remaining packets still match the
+// convention: frames the extractor rejects are counted and excluded
+// from the sketch, and the remaining packets still match the
 // sequential path.
 func TestReplaySkipsUndecodableFrames(t *testing.T) {
 	tr := trace.CAIDALike(2000, 3)
@@ -165,9 +165,6 @@ func TestReplaySkipsUndecodableFrames(t *testing.T) {
 		if st.Packets != uint64(len(tr.Packets)) {
 			t.Fatalf("queues=%d: inserted %d packets, want %d", queues, st.Packets, len(tr.Packets))
 		}
-		if st.Recycled != st.Packets+st.Skipped {
-			t.Fatalf("queues=%d: recycled %d slots, want %d", queues, st.Recycled, st.Packets+st.Skipped)
-		}
 		if queues == 1 {
 			diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 		}
@@ -175,9 +172,10 @@ func TestReplaySkipsUndecodableFrames(t *testing.T) {
 }
 
 // TestReplayTruncatesToSlotCap checks NIC snapshot-length semantics: a
-// slot smaller than the captured frames stores a prefix, the header
-// bytes survive, and decode equality with the sequential path holds
-// (all headers fit in the first 96 bytes of these frames).
+// SlotCap smaller than the captured frames hides all but a prefix from
+// the extractor, the header bytes survive, and decode equality with
+// the sequential path holds (all headers fit in the first 96 bytes of
+// these frames).
 func TestReplayTruncatesToSlotCap(t *testing.T) {
 	_, data := replayCapture(t, 5000, 512)
 	merged, st, err := ReplayPCAPBasic(
@@ -195,94 +193,97 @@ func TestReplayTruncatesToSlotCap(t *testing.T) {
 	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
 }
 
-// TestReplayBackpressureStarvation checks the backpressure-not-drop
-// contract: with a pool smaller than one burst the reader must stall on
-// slot exhaustion (Starved > 0), yet every packet is still delivered
-// and the decode table is unchanged.
-func TestReplayBackpressureStarvation(t *testing.T) {
-	_, data := replayCapture(t, 5000, 256)
-	merged, st, err := ReplayPCAPBasic(
-		ReplayConfig{Queues: 1, Seed: 42, PoolSlots: 4},
-		replaySketchCfg(), bytes.NewReader(data))
+// TestReplayMaxSnapLenRecord replays a capture whose middle record is
+// exactly pcap.MaxSnapLen bytes, the largest view the reader serves:
+// with a SlotCap that covers it and with the default one that
+// truncates it, every record is inserted and the decode matches the
+// sequential path.
+func TestReplayMaxSnapLenRecord(t *testing.T) {
+	tr := trace.CAIDALike(3, 11)
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet, pcap.MaxSnapLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Starved == 0 {
-		t.Fatal("4-slot pool replayed 5000 packets without a single starvation event")
+	for i := range tr.Packets {
+		frame := packet.Build(tr.Packets[i].Key, packet.BuildOptions{})
+		if i == 1 {
+			frame = append(frame, make([]byte, pcap.MaxSnapLen-len(frame))...)
+		}
+		if err := w.WritePacket(time.Unix(1600000000, 0), frame, len(frame)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if st.Packets != st.Recycled {
-		t.Fatalf("stats %+v: packets and recycled diverge", st)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	diffTables(t, merged.Decode(), sequentialDecode(t, data, false))
+	data := buf.Bytes()
+	for _, c := range []struct{ slotCap, truncated int }{{pcap.MaxSnapLen, 0}, {0, 1}} {
+		merged, st, err := ReplayPCAPBasic(
+			ReplayConfig{Queues: 1, Seed: 42, SlotCap: c.slotCap, Bytes: true},
+			replaySketchCfg(), bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Packets != 3 || st.Truncated != uint64(c.truncated) {
+			t.Fatalf("slotCap=%d: stats %+v, want 3 packets and %d truncated", c.slotCap, st, c.truncated)
+		}
+		diffTables(t, merged.Decode(), sequentialDecode(t, data, true))
+	}
 }
 
-// TestReplaySteadyStateNoAllocs is the tentpole's gate: driving the
-// full replay→decode→InsertBatch loop — pool reserve, ReadInto, ring
-// handoff, key extraction, batch insert, recycle — allocates nothing
-// per burst in steady state. The pipe's steppable readBurst/drainBurst
-// methods let one goroutine alternate the two sides deterministically.
+// TestReplaySteadyStateNoAllocs is the allocation gate: the per-burst
+// step that each queue goroutine loops over — view-based pcap read,
+// key extraction, batch insert — allocates nothing in steady state.
 func TestReplaySteadyStateNoAllocs(t *testing.T) {
 	_, data := replayCapture(t, 30000, 256)
 	pr, err := pcap.NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := normalizeReplay(ReplayConfig{Queues: 1, Seed: 42})
-	sketch := core.NewBasic[flowkey.FiveTuple](replaySketchCfg())
-	q := newQueuePipe(cfg, 0, pr, sketch)
-	// Warm the pipeline through one full burst cycle first.
-	if _, err := q.readBurst(); err != nil {
-		t.Fatal(err)
-	}
-	q.drainBurst()
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := q.readBurst(); err != nil {
+	for _, bytesMode := range []bool{false, true} {
+		cfg := normalizeReplay(ReplayConfig{Queues: 1, Seed: 42, Bytes: bytesMode})
+		q := newQueueLoop(cfg, pr, core.NewBasic[flowkey.FiveTuple](replaySketchCfg()))
+		if err := q.step(); err != nil { // warm up
 			t.Fatal(err)
 		}
-		q.drainBurst()
-	}); n != 0 {
-		t.Fatalf("steady-state burst allocates %.1f times, want 0", n)
-	}
-	if q.done {
-		t.Fatal("trace exhausted during the alloc gate; enlarge the capture")
+		if n := testing.AllocsPerRun(100, func() {
+			if err := q.step(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("bytes=%v: steady-state burst allocates %.1f times, want 0", bytesMode, n)
+		}
+		if q.done {
+			t.Fatal("trace exhausted during the alloc gate; enlarge the capture")
+		}
 	}
 }
 
 // TestReplayTelemetry checks the burst-level ingest instruments: the
 // registry's counters must agree with the returned stats, and the
-// per-queue occupancy gauge must exist.
+// burst histogram must have seen every record.
 func TestReplayTelemetry(t *testing.T) {
 	_, data := replayCapture(t, 5000, 256)
 	reg := telemetry.New()
 	_, st, err := ReplayPCAPBasic(
-		ReplayConfig{Queues: 2, Seed: 1, Telemetry: reg},
+		ReplayConfig{Queues: 2, Seed: 1, SlotCap: 96, Telemetry: reg},
 		replaySketchCfg(), bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter("ingest.recycled").Value(); got != st.Recycled {
-		t.Fatalf("ingest.recycled = %d, stats say %d", got, st.Recycled)
-	}
 	if got := reg.Counter("ingest.skipped").Value(); got != st.Skipped {
 		t.Fatalf("ingest.skipped = %d, stats say %d", got, st.Skipped)
 	}
-	if got := reg.Counter("ingest.pool_starved").Value(); got != st.Starved {
-		t.Fatalf("ingest.pool_starved = %d, stats say %d", got, st.Starved)
+	if got := reg.Counter("ingest.truncated").Value(); got == 0 || got != st.Truncated {
+		t.Fatalf("ingest.truncated = %d, stats say %d", got, st.Truncated)
 	}
-	for _, name := range []string{"ingest.pool_occupancy.q0", "ingest.pool_occupancy.q1"} {
-		found := false
-		for _, n := range reg.Names() {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("gauge %s not registered", name)
-		}
+	if got := reg.Histogram("ingest.batch_size").Snapshot().Sum; got != st.Packets+st.Skipped {
+		t.Fatalf("ingest.batch_size sums to %d records, stats say %d", got, st.Packets+st.Skipped)
 	}
 }
 
-// BenchmarkReplayQueues measures pooled replay throughput at 1 and 4
+// BenchmarkReplayQueues measures replay throughput at 1 and 4
 // simulated receive queues over a pre-partitioned capture (partitioning
 // is setup, not steady state). The benchsmoke gate compares the two
 // sub-benchmarks to enforce the multi-queue speedup on multi-core CI.

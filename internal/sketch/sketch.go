@@ -4,7 +4,9 @@
 package sketch
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
 
 	"cocosketch/internal/flowkey"
 )
@@ -59,17 +61,30 @@ func TopK[K flowkey.Key](table map[K]uint64, k int) []Entry[K] {
 }
 
 // Entries flattens a table into entries sorted by descending size.
+// Equal sizes are ordered by Hash(0), then by canonical key bytes, so
+// the order is total and never depends on map iteration order.
 func Entries[K flowkey.Key](table map[K]uint64) []Entry[K] {
-	entries := make([]Entry[K], 0, len(table))
-	for k, v := range table {
-		entries = append(entries, Entry[K]{Key: k, Size: v})
+	type row struct {
+		Entry[K]
+		hash uint32
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Size != entries[j].Size {
-			return entries[i].Size > entries[j].Size
+	rows := make([]row, 0, len(table))
+	for k, v := range table {
+		rows = append(rows, row{Entry[K]{Key: k, Size: v}, k.Hash(0)})
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		switch {
+		case a.Size != b.Size:
+			return cmp.Compare(b.Size, a.Size)
+		case a.hash != b.hash:
+			return cmp.Compare(a.hash, b.hash)
 		}
-		return entries[i].Key.Hash(0) < entries[j].Key.Hash(0)
+		return bytes.Compare(a.Key.AppendBytes(nil), b.Key.AppendBytes(nil))
 	})
+	entries := make([]Entry[K], len(rows))
+	for i := range rows {
+		entries[i] = rows[i].Entry
+	}
 	return entries
 }
 

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"testing"
 
 	"cocosketch/internal/flowkey"
@@ -46,6 +47,33 @@ func TestEntriesStableUnderTies(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("tie order not deterministic")
+		}
+	}
+}
+
+// TestEntriesHashCollisionDeterministic gives two keys with equal
+// Hash(0), found by birthday search, equal sizes: their order must not
+// follow map iteration order, so every call returns the same rows.
+func TestEntriesHashCollisionDeterministic(t *testing.T) {
+	seen := make(map[uint32]flowkey.FiveTuple)
+	var a, b flowkey.FiveTuple
+	for i := uint32(0); ; i++ {
+		k := flowkey.FiveTuple{SrcIP: [4]byte(key(i).AppendBytes(nil)), DstPort: 80, Proto: 6}
+		h := k.Hash(0)
+		if prev, ok := seen[h]; ok {
+			a, b = prev, k
+			break
+		}
+		seen[h] = k
+	}
+	table := map[flowkey.FiveTuple]uint64{a: 9, b: 9}
+	for i := uint32(0); i < 8; i++ {
+		table[flowkey.FiveTuple{DstIP: [4]byte(key(i).AppendBytes(nil))}] = 9
+	}
+	want := Entries(table)
+	for call := 0; call < 50; call++ {
+		if got := Entries(table); !slices.Equal(got, want) {
+			t.Fatalf("call %d: order differs:\n got %v\nwant %v", call, got, want)
 		}
 	}
 }

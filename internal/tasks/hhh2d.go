@@ -35,17 +35,34 @@ func NewLevels2D() Levels2D {
 }
 
 // Levels2DFromCounts aggregates exact (or estimated) host-pair counts
-// into every lattice node.
+// into every lattice node. Each node is rolled up from the next finer
+// one — (sp, dp) from (sp, dp+1), and (sp, 32) from (sp+1, 32) — so a
+// level costs one update per entry of a table that shrinks as the
+// prefixes coarsen, instead of one update per input pair.
 func Levels2DFromCounts(counts map[flowkey.IPPair]uint64) Levels2D {
-	grid := NewLevels2D()
-	for pair, v := range counts {
-		for sp := 0; sp <= 32; sp++ {
-			for dp := 0; dp <= 32; dp++ {
-				grid[sp][dp][pair.Prefix(sp, dp)] += v
-			}
+	grid := make(Levels2D, HierarchyDepth1D)
+	for sp := range grid {
+		grid[sp] = make([]map[flowkey.IPPair]uint64, HierarchyDepth1D)
+	}
+	grid[32][32] = rollUp2D(counts, 32, 32)
+	for sp := 32; sp >= 0; sp-- {
+		if sp < 32 {
+			grid[sp][32] = rollUp2D(grid[sp+1][32], sp, 32)
+		}
+		for dp := 31; dp >= 0; dp-- {
+			grid[sp][dp] = rollUp2D(grid[sp][dp+1], sp, dp)
 		}
 	}
 	return grid
+}
+
+// rollUp2D aggregates a table into its (sp, dp) prefixes.
+func rollUp2D(finer map[flowkey.IPPair]uint64, sp, dp int) map[flowkey.IPPair]uint64 {
+	out := make(map[flowkey.IPPair]uint64)
+	for pair, v := range finer {
+		out[pair.Prefix(sp, dp)] += v
+	}
+	return out
 }
 
 // Query returns the aggregate size of a node (0 if absent).

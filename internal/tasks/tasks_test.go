@@ -1,9 +1,11 @@
 package tasks
 
 import (
+	"maps"
 	"testing"
 
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/xrand"
 )
 
 func TestThreshold(t *testing.T) {
@@ -197,6 +199,42 @@ func TestExtractHHHAtLengthsPanicsOnBadOrder(t *testing.T) {
 
 func pair(s, d uint32) flowkey.IPPair {
 	return flowkey.IPPair{Src: ip(s), Dst: ip(d)}
+}
+
+// levels2DBruteForce is the reference lattice: every input pair
+// added to every node directly.
+func levels2DBruteForce(counts map[flowkey.IPPair]uint64) Levels2D {
+	grid := NewLevels2D()
+	for p, v := range counts {
+		for sp := 0; sp <= 32; sp++ {
+			for dp := 0; dp <= 32; dp++ {
+				grid[sp][dp][p.Prefix(sp, dp)] += v
+			}
+		}
+	}
+	return grid
+}
+
+// TestLevels2DMatchesBruteForce pins the rolled-up lattice to the
+// brute-force one, node for node, over clustered and scattered pairs.
+func TestLevels2DMatchesBruteForce(t *testing.T) {
+	rng := xrand.New(5)
+	counts := map[flowkey.IPPair]uint64{}
+	for i := 0; i < 400; i++ {
+		src := uint32(rng.Uint64())
+		if i%2 == 0 {
+			src = 0x0A000000 | src&0xFFF // clustered under 10.0.0.0/20
+		}
+		counts[pair(src, uint32(rng.Uint64()))] += 1 + rng.Uint64()%100
+	}
+	got, want := Levels2DFromCounts(counts), levels2DBruteForce(counts)
+	for sp := 0; sp <= 32; sp++ {
+		for dp := 0; dp <= 32; dp++ {
+			if !maps.Equal(got[sp][dp], want[sp][dp]) {
+				t.Fatalf("node (%d,%d): %d entries, brute force has %d", sp, dp, len(got[sp][dp]), len(want[sp][dp]))
+			}
+		}
+	}
 }
 
 func TestLevels2DAggregation(t *testing.T) {
