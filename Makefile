@@ -80,9 +80,13 @@ bench-report:
 # the run must sustain ≥10k queries/s, keep ingest above its floor, and
 # hold the cache hit ratio — all enforced inside the env-gated test.
 # The microbenchmark reports the cached/uncached split behind the gate.
+# The ranking gate: a cache-off top-10 miss must beat the full sort of
+# every group (limit 0) by at least 2.5× in the same run (measured ≈4×).
 bench-query:
 	COCO_QUERY_GATE=1 $(GO) test -run 'TestQueryServingGate' -count=1 -v ./internal/window/
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowGroupBy|BenchmarkQueryUnderIngest' -benchmem ./internal/window/
+	$(GO) test -run '^$$' -bench 'BenchmarkWindowTopMiss/' -count 4 ./internal/window/ \
+		| $(GO) run ./internal/tools/benchsmoke -off rows-all -on top-10 -max 0 -min 2.5
 
 bench: bench-insert bench-ring bench-smoke bench-report bench-query
 

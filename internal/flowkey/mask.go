@@ -86,14 +86,25 @@ func (m Mask) WithPrefix(f Field, bits int) Mask {
 // Apply maps a full key to its partial key under the mask by zeroing all
 // dropped bits. Apply is the mapping g of Definition 1: distinct full
 // keys with equal masked values belong to the same partial-key flow.
+// Each field is ANDed with its leading-bits mask; a prefix longer than
+// the field keeps the whole field.
 func (m Mask) Apply(k FiveTuple) FiveTuple {
-	var out FiveTuple
-	out.SrcIP = maskBytes4(k.SrcIP, int(m.Bits[FieldSrcIP]))
-	out.DstIP = maskBytes4(k.DstIP, int(m.Bits[FieldDstIP]))
-	out.SrcPort = k.SrcPort & mask16(int(m.Bits[FieldSrcPort]))
-	out.DstPort = k.DstPort & mask16(int(m.Bits[FieldDstPort]))
-	out.Proto = k.Proto & mask8(int(m.Bits[FieldProto]))
-	return out
+	src, dst := prefix32(m.Bits[FieldSrcIP]), prefix32(m.Bits[FieldDstIP])
+	sp, dp := prefix32(m.Bits[FieldSrcPort]), prefix32(m.Bits[FieldDstPort])
+	proto := prefix32(m.Bits[FieldProto])
+	return FiveTuple{
+		SrcIP:   [4]byte{k.SrcIP[0] & byte(src>>24), k.SrcIP[1] & byte(src>>16), k.SrcIP[2] & byte(src>>8), k.SrcIP[3] & byte(src)},
+		DstIP:   [4]byte{k.DstIP[0] & byte(dst>>24), k.DstIP[1] & byte(dst>>16), k.DstIP[2] & byte(dst>>8), k.DstIP[3] & byte(dst)},
+		SrcPort: k.SrcPort & uint16(sp>>16),
+		DstPort: k.DstPort & uint16(dp>>16),
+		Proto:   k.Proto & uint8(proto>>24),
+	}
+}
+
+// prefix32 is the 32-bit mask keeping the leading bits bits; its top
+// 16 or 8 bits are the mask of a prefix of a 16- or 8-bit field.
+func prefix32(bits uint8) uint32 {
+	return ^uint32(0) << (32 - min(uint32(bits), 32))
 }
 
 // IsFull reports whether the mask retains every bit of the full key.
@@ -116,41 +127,6 @@ func (m Mask) String() string {
 		return "(empty)"
 	}
 	return strings.Join(parts, "+")
-}
-
-func maskBytes4(b [4]byte, bits int) [4]byte {
-	var out [4]byte
-	if bits <= 0 {
-		return out
-	}
-	if bits >= 32 {
-		return b
-	}
-	m := ^uint32(0) << (32 - uint(bits))
-	v := uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-	v &= m
-	out[0], out[1], out[2], out[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-	return out
-}
-
-func mask16(bits int) uint16 {
-	if bits <= 0 {
-		return 0
-	}
-	if bits >= 16 {
-		return ^uint16(0)
-	}
-	return ^uint16(0) << (16 - uint(bits))
-}
-
-func mask8(bits int) uint8 {
-	if bits <= 0 {
-		return 0
-	}
-	if bits >= 8 {
-		return ^uint8(0)
-	}
-	return ^uint8(0) << (8 - uint(bits))
 }
 
 // EvaluationMasks returns the six partial keys measured throughout §7 of

@@ -2,10 +2,14 @@ package netwide
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
@@ -70,6 +74,49 @@ func TestMessageOversize(t *testing.T) {
 	buf.Write(hdr)
 	if _, err := ReadMessage(&buf); err != ErrMessageTooLarge {
 		t.Fatalf("oversize error = %v", err)
+	}
+}
+
+// TestMessageDeclaredLengthNotPreallocated sends a header declaring
+// MaxPayload and then closes: ReadMessage must fail without having
+// allocated anything near the declared length.
+func TestMessageDeclaredLengthNotPreallocated(t *testing.T) {
+	hdr := []byte{MsgSketch, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	binary.LittleEndian.PutUint32(hdr[7:], MaxPayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadMessage(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("err = %v, want a wrapped io.EOF", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2<<20 {
+		t.Fatalf("allocated %d bytes for a payload that never arrived", alloc)
+	}
+}
+
+// TestMessageLargePayload reads payloads past the exact-allocation
+// size, delivered a few bytes at a time, and cut short.
+func TestMessageLargePayload(t *testing.T) {
+	for _, n := range []int{exactPayload, exactPayload + 1, 3*exactPayload + 17} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, Message{Type: MsgSketch, Epoch: 4, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		out, err := ReadMessage(iotest.HalfReader(bytes.NewReader(data)))
+		if err != nil || out.Epoch != 4 || !bytes.Equal(out.Payload, payload) {
+			t.Fatalf("n=%d: round trip failed: err %v, %d bytes", n, err, len(out.Payload))
+		}
+		for _, cut := range []int{11, 12, len(data) - 1} {
+			if _, err := ReadMessage(bytes.NewReader(data[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) && !(cut == 11 && errors.Is(err, io.EOF)) {
+				t.Fatalf("n=%d cut at %d: err = %v", n, cut, err)
+			}
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Wire protocol: every message is
@@ -97,10 +98,37 @@ func ReadMessage(r io.Reader) (Message, error) {
 		return Message{}, ErrMessageTooLarge
 	}
 	if n > 0 {
-		m.Payload = make([]byte, n)
-		if _, err := io.ReadFull(r, m.Payload); err != nil {
+		payload, err := readPayload(r, int(n))
+		if err != nil {
 			return Message{}, fmt.Errorf("netwide: reading payload: %w", err)
 		}
+		m.Payload = payload
 	}
 	return m, nil
+}
+
+// exactPayload is the largest declared length read into one exact
+// allocation up front; every report the agents send fits.
+const exactPayload = 1 << 20
+
+// readPayload reads exactly n bytes. Beyond exactPayload the buffer
+// starts at exactPayload and doubles only as bytes arrive, so a peer
+// that declares a huge length and stops sending costs about what it
+// sent, not the declared length. Errors follow io.ReadFull.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, exactPayload))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(cap(buf), n-len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

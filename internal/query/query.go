@@ -28,17 +28,27 @@ func Aggregate[F, P flowkey.Key](table map[F]uint64, g func(F) P) map[P]uint64 {
 	return out
 }
 
-// ByMask aggregates a 5-tuple table under a field/prefix mask.
+// ByMask aggregates a 5-tuple table under a field/prefix mask. The
+// result is always a fresh map, so callers may mutate it.
 func ByMask(table map[flowkey.FiveTuple]uint64, m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
 	if m.IsFull() {
-		// Identity grouping: copy to keep callers free to mutate.
 		out := make(map[flowkey.FiveTuple]uint64, len(table))
 		for k, v := range table {
 			out[k] = v
 		}
 		return out
 	}
-	return Aggregate(table, m.Apply)
+	return byMask(table, m)
+}
+
+// byMask aggregates under a partial mask into a map sized from the
+// table, so the hot loop never grows it.
+func byMask(table map[flowkey.FiveTuple]uint64, m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
+	out := make(map[flowkey.FiveTuple]uint64, len(table))
+	for k, v := range table {
+		out[m.Apply(k)] += v
+	}
+	return out
 }
 
 // Engine holds one decoded full-key table and serves partial-key
@@ -73,9 +83,26 @@ func (e *Engine) GroupBy(m flowkey.Mask) map[flowkey.FiveTuple]uint64 {
 	return ByMask(e.table, m)
 }
 
-// Top returns the k largest partial-key flows under a mask.
+// Top returns the k largest partial-key flows under a mask in
+// sketch.TopK's rank order (none when k <= 0). The identity mask ranks
+// the decoded table in place; any other mask aggregates once and
+// ranks the groups, so a call costs one pass plus an O(n log k)
+// selection.
 func (e *Engine) Top(m flowkey.Mask, k int) []sketch.Entry[flowkey.FiveTuple] {
-	return sketch.TopK(e.GroupBy(m), k)
+	switch {
+	case k <= 0:
+		return []sketch.Entry[flowkey.FiveTuple]{}
+	case m.IsFull():
+		return sketch.TopK(e.table, k)
+	}
+	return sketch.TopK(byMask(e.table, m), k)
+}
+
+// All returns every partial-key flow under a mask in rank order: a
+// full sort of the groups.
+func (e *Engine) All(m flowkey.Mask) []sketch.Entry[flowkey.FiveTuple] {
+	// A mask never yields more groups than the table has rows.
+	return e.Top(m, len(e.table))
 }
 
 // SQL parses and executes the restricted SQL dialect of the paper:
@@ -83,15 +110,14 @@ func (e *Engine) Top(m flowkey.Mask, k int) []sketch.Entry[flowkey.FiveTuple] {
 //	SELECT <mask>, SUM(Size) FROM table GROUP BY <mask>
 //
 // where <mask> uses the flowkey mask syntax ("SrcIP/24+DstIP"). The two
-// mask occurrences must match. Rows are returned sorted by size
+// mask occurrences must match. Every row is returned, sorted by size
 // descending.
 func (e *Engine) SQL(stmt string) ([]sketch.Entry[flowkey.FiveTuple], error) {
 	m, err := ParseSQL(stmt)
 	if err != nil {
 		return nil, err
 	}
-	rows := sketch.Entries(e.GroupBy(m))
-	return rows, nil
+	return e.All(m), nil
 }
 
 // ParseSQL extracts the grouping mask from the restricted SQL dialect.

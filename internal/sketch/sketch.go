@@ -50,42 +50,107 @@ type Entry[K flowkey.Key] struct {
 	Size uint64
 }
 
-// TopK returns the k largest entries of a table, ties broken
-// deterministically by hash so results are stable across runs.
+// TopK returns the k largest entries of a table in rank order: size
+// descending, then Hash(0) ascending, then canonical key bytes
+// ascending, so the order is total and never depends on map iteration
+// order. k <= 0 returns no entries; k >= len(table) returns them all.
+//
+// It costs one pass over the table plus O(n log k): a bounded heap
+// keeps the k best rows seen so far with the worst at its root, most
+// rows lose to the root on size alone, and Hash(0) is computed only for
+// rows whose size ties a row they are compared with. The k survivors
+// are then sorted.
 func TopK[K flowkey.Key](table map[K]uint64, k int) []Entry[K] {
-	entries := Entries(table)
-	if k > len(entries) {
-		k = len(entries)
+	k = min(k, len(table))
+	if k <= 0 {
+		return []Entry[K]{}
 	}
-	return entries[:k]
-}
-
-// Entries flattens a table into entries sorted by descending size.
-// Equal sizes are ordered by Hash(0), then by canonical key bytes, so
-// the order is total and never depends on map iteration order.
-func Entries[K flowkey.Key](table map[K]uint64) []Entry[K] {
-	type row struct {
-		Entry[K]
-		hash uint32
-	}
-	rows := make([]row, 0, len(table))
-	for k, v := range table {
-		rows = append(rows, row{Entry[K]{Key: k, Size: v}, k.Hash(0)})
-	}
-	slices.SortFunc(rows, func(a, b row) int {
-		switch {
-		case a.Size != b.Size:
-			return cmp.Compare(b.Size, a.Size)
-		case a.hash != b.hash:
-			return cmp.Compare(a.hash, b.hash)
+	rows := make([]ranked[K], 0, k)
+	for key, size := range table {
+		if len(rows) < k {
+			rows = append(rows, ranked[K]{Entry: Entry[K]{Key: key, Size: size}})
+			if len(rows) == k && k < len(table) {
+				heapify(rows)
+			}
+			continue
 		}
-		return bytes.Compare(a.Key.AppendBytes(nil), b.Key.AppendBytes(nil))
-	})
+		if size < rows[0].Size {
+			continue
+		}
+		if r := (ranked[K]{Entry: Entry[K]{Key: key, Size: size}}); compareRank(&r, &rows[0]) < 0 {
+			rows[0] = r
+			siftDown(rows, 0)
+		}
+	}
+	// The sort compares copies, which cannot cache a hash: compute
+	// every survivor's up front.
+	for i := range rows {
+		rows[i].sum()
+	}
+	slices.SortFunc(rows, func(a, b ranked[K]) int { return compareRank(&a, &b) })
 	entries := make([]Entry[K], len(rows))
 	for i := range rows {
 		entries[i] = rows[i].Entry
 	}
 	return entries
+}
+
+// Entries flattens a table into entries in TopK's rank order: it is
+// TopK with k = every row.
+func Entries[K flowkey.Key](table map[K]uint64) []Entry[K] {
+	return TopK(table, len(table))
+}
+
+// ranked is a row under selection, carrying its Hash(0) once computed.
+type ranked[K flowkey.Key] struct {
+	Entry[K]
+	hash   uint32
+	hashed bool
+}
+
+// sum returns the row's Hash(0), computing it on first use.
+func (r *ranked[K]) sum() uint32 {
+	if !r.hashed {
+		r.hash, r.hashed = r.Key.Hash(0), true
+	}
+	return r.hash
+}
+
+// compareRank is negative when a ranks higher than b: larger size,
+// then smaller Hash(0), then smaller canonical key bytes.
+func compareRank[K flowkey.Key](a, b *ranked[K]) int {
+	if a.Size != b.Size {
+		return cmp.Compare(b.Size, a.Size)
+	}
+	if c := cmp.Compare(a.sum(), b.sum()); c != 0 {
+		return c
+	}
+	return bytes.Compare(a.Key.AppendBytes(nil), b.Key.AppendBytes(nil))
+}
+
+// heapify orders h as a heap whose root is its lowest-ranked row.
+func heapify[K flowkey.Key](h []ranked[K]) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+// siftDown restores the heap below i after h[i] was replaced.
+func siftDown[K flowkey.Key](h []ranked[K], i int) {
+	for {
+		worst, l := i, 2*i+1
+		if l < len(h) && compareRank(&h[worst], &h[l]) < 0 {
+			worst = l
+		}
+		if r := l + 1; r < len(h) && compareRank(&h[worst], &h[r]) < 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // Threshold filters a table, keeping flows of size >= threshold.

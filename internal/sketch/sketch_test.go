@@ -55,17 +55,7 @@ func TestEntriesStableUnderTies(t *testing.T) {
 // Hash(0), found by birthday search, equal sizes: their order must not
 // follow map iteration order, so every call returns the same rows.
 func TestEntriesHashCollisionDeterministic(t *testing.T) {
-	seen := make(map[uint32]flowkey.FiveTuple)
-	var a, b flowkey.FiveTuple
-	for i := uint32(0); ; i++ {
-		k := flowkey.FiveTuple{SrcIP: [4]byte(key(i).AppendBytes(nil)), DstPort: 80, Proto: 6}
-		h := k.Hash(0)
-		if prev, ok := seen[h]; ok {
-			a, b = prev, k
-			break
-		}
-		seen[h] = k
-	}
+	a, b := hashCollision()
 	table := map[flowkey.FiveTuple]uint64{a: 9, b: 9}
 	for i := uint32(0); i < 8; i++ {
 		table[flowkey.FiveTuple{DstIP: [4]byte(key(i).AppendBytes(nil))}] = 9

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // HistogramView is the JSON rendering of one histogram: exact count,
@@ -85,6 +86,21 @@ func NewMux(r *Registry) *http.ServeMux {
 	return mux
 }
 
+// Connection bounds of every HTTP endpoint the daemons serve: a client
+// must finish its request headers within ReadHeaderTimeout, and a
+// keep-alive connection idle for IdleTimeout is closed, so slow or
+// stalled clients cannot hold connections forever.
+const (
+	ReadHeaderTimeout = 3 * time.Second
+	IdleTimeout       = 60 * time.Second
+)
+
+// NewServer returns an http.Server for h with the connection bounds
+// above.
+func NewServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Serve starts the debug endpoint on addr (host:port; port 0 picks a
 // free port) in a background goroutine and returns the bound address.
 // The listener lives for the remainder of the process — telemetry is
@@ -97,7 +113,7 @@ func Serve(addr string, r *Registry) (net.Addr, error) {
 	go func() {
 		// The server only stops when the process exits; Serve's error
 		// (listener closed) has nowhere useful to go.
-		_ = http.Serve(ln, NewMux(r))
+		_ = NewServer(NewMux(r)).Serve(ln)
 	}()
 	return ln.Addr(), nil
 }

@@ -3,11 +3,13 @@ package telemetry
 import (
 	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "regenerate golden files")
@@ -135,4 +137,30 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// TestServeDropsSlowHeaders sends half a request line and stalls: the
+// server must close the connection once ReadHeaderTimeout passes.
+func TestServeDropsSlowHeaders(t *testing.T) {
+	t.Parallel()
+	addr, err := Serve("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /debug/va")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(ReadHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < ReadHeaderTimeout/2 {
+		t.Fatalf("closed after %v, before the header timeout", waited)
+	}
 }

@@ -18,6 +18,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/telemetry"
+	"cocosketch/internal/trace"
 	"cocosketch/internal/window"
 	"cocosketch/internal/xrand"
 )
@@ -191,6 +192,37 @@ func BenchmarkWindowGroupByUncached(b *testing.B) {
 		if _, err := r.GroupBy(window.All(), m); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWindowTopMiss is the `make bench-query` ratio gate on the
+// ranking: with the cache off, every Ring.Top over one sealed
+// 512k-packet CAIDA-like epoch (shipped 500 KB geometry) re-aggregates
+// by SrcIP+DstIP. rows-all fully sorts the groups (limit 0); top-10
+// selects ten with the bounded heap and must stay well ahead of it.
+func BenchmarkWindowTopMiss(b *testing.B) {
+	cfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500*1024, 1)
+	sk := core.NewBasic[flowkey.FiveTuple](cfg)
+	for _, p := range trace.CAIDALike(1<<19, 1).Packets {
+		sk.Insert(p.Key, 1)
+	}
+	r := window.NewRing(1, cfg).SetCacheLimit(0)
+	if err := r.Seal(0, sk); err != nil {
+		b.Fatal(err)
+	}
+	m := flowkey.MaskFields(flowkey.FieldSrcIP, flowkey.FieldDstIP)
+	for _, c := range []struct {
+		name  string
+		limit int
+	}{{"rows-all", 0}, {"top-10", 10}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := r.Top(window.All(), m, c.limit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -30,17 +30,20 @@ const (
 	opQuery op = iota
 	// opGroup caches GroupBy tables (map[flowkey.FiveTuple]uint64).
 	opGroup
-	// opRows caches the sorted row set Top and SQL slice from.
-	opRows
+	// opTop caches the ranked rows one Top call returned
+	// ([]sketch.Entry[flowkey.FiveTuple]).
+	opTop
 )
 
 // cacheKey identifies one cached result: operation, canonical window,
-// grouping mask, and (for opQuery) the masked partial key.
+// grouping mask, (for opQuery) the masked partial key and (for opTop)
+// the row limit, 0 meaning every row.
 type cacheKey struct {
 	op       op
 	from, to uint64
 	mask     flowkey.Mask
 	partial  flowkey.FiveTuple
+	limit    int
 }
 
 // engineKey identifies one cached merged window engine.
@@ -48,7 +51,7 @@ type engineKey struct {
 	from, to uint64
 }
 
-// cache is the bounded (partial key, window) result cache plus the
+// cache is the bounded (operation, window) result cache plus the
 // merged-engine cache. A limit of 0 disables both. Safe for concurrent
 // use.
 type cache struct {

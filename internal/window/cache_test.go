@@ -56,13 +56,15 @@ func compareRings(t *testing.T, cached, uncached *window.Ring, masks []flowkey.M
 				if !reflect.DeepEqual(ga, gb) {
 					t.Fatalf("pass %d %v %v: cached GroupBy differs from uncached", pass, rg, m)
 				}
-				ta, errA := cached.Top(rg, m, 4)
-				tb, errB := uncached.Top(rg, m, 4)
-				if (errA == nil) != (errB == nil) {
-					t.Fatalf("pass %d %v %v: Top err mismatch: %v vs %v", pass, rg, m, errA, errB)
-				}
-				if !reflect.DeepEqual(ta, tb) {
-					t.Fatalf("pass %d %v %v: cached Top differs from uncached", pass, rg, m)
+				for _, k := range []int{4, 0, 1, 1 << 20} {
+					ta, errA := cached.Top(rg, m, k)
+					tb, errB := uncached.Top(rg, m, k)
+					if (errA == nil) != (errB == nil) {
+						t.Fatalf("pass %d %v %v k=%d: Top err mismatch: %v vs %v", pass, rg, m, k, errA, errB)
+					}
+					if !reflect.DeepEqual(ta, tb) {
+						t.Fatalf("pass %d %v %v k=%d: cached Top differs from uncached", pass, rg, m, k)
+					}
 				}
 			}
 			ra, errA := cached.SQL("SELECT DstIP, SUM(Size) FROM table GROUP BY DstIP", rg)
@@ -243,5 +245,62 @@ func TestCacheBounded(t *testing.T) {
 	results, engines := r.CacheLen()
 	if results > 8 || engines > 8 {
 		t.Fatalf("cache exceeded its limit: %d results, %d engines (limit 8)", results, engines)
+	}
+}
+
+// TestCacheTopLimitKeyed mixes row limits on the same (mask, window),
+// in an order that caches a short answer before a longer one and the
+// full row set before short ones: with the cache on and off, every
+// answer equals the single reference engine's, so two limits for one
+// window never alias. SQL keeps returning every group, and a caller
+// mutating a returned slice never reaches the cached rows.
+func TestCacheTopLimitKeyed(t *testing.T) {
+	masks := testMasks(t)
+	tr := trace.CAIDALike(24_000, 13)
+	epochs := epochSketches(testConfig, tr, 4)
+	cached := window.NewRing(4, testConfig)
+	uncached := window.NewRing(4, testConfig).SetCacheLimit(0)
+	for e := range epochs {
+		for _, r := range []*window.Ring{cached, uncached} {
+			if err := r.Seal(uint64(e), epochs[e].Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, span := range [][2]int{{0, 4}, {1, 3}, {2, 3}} {
+		rg := window.Range{From: uint64(span[0]), To: uint64(span[1])}
+		ref := refEngine(t, testConfig, epochs[span[0]:span[1]])
+		for _, m := range masks {
+			all := ref.All(m)
+			limits := []int{1, 20, 0, 1, len(all) + 7, 20, -3, 0}
+			for pass := 0; pass < 2; pass++ {
+				for _, k := range limits {
+					want := all
+					if k > 0 {
+						want = ref.Top(m, k)
+					}
+					for name, r := range map[string]*window.Ring{"cached": cached, "uncached": uncached} {
+						got, err := r.Top(rg, m, k)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s %v %v pass %d k=%d: %d rows, want %d (reference)", name, rg, m, pass, k, len(got), len(want))
+						}
+						if len(got) > 0 {
+							got[0].Size++ // must not reach the cache
+						}
+					}
+				}
+			}
+		}
+		rows, err := cached.SQL("SELECT SrcIP/16, SUM(Size) FROM table GROUP BY SrcIP/16", rg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m16 := flowkey.MaskFields(flowkey.FieldSrcIP).WithPrefix(flowkey.FieldSrcIP, 16)
+		if groups := ref.GroupBy(m16); len(rows) != len(groups) || !reflect.DeepEqual(rows, ref.All(m16)) {
+			t.Fatalf("%v: SQL returned %d rows, want all %d groups in rank order", rg, len(rows), len(groups))
+		}
 	}
 }

@@ -95,12 +95,20 @@ func compareWindow(t *testing.T, r *window.Ring, rg window.Range, ref *query.Eng
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window %v mask %v: GroupBy differs from reference", rg, m)
 		}
-		gotTop, err := r.Top(rg, m, 5)
-		if err != nil {
-			t.Fatalf("Top(%v, %v): %v", rg, m, err)
-		}
-		if wantTop := ref.Top(m, 5); !reflect.DeepEqual(gotTop, wantTop) {
-			t.Fatalf("window %v mask %v: Top differs from reference\n got %v\nwant %v", rg, m, gotTop, wantTop)
+		// Mixed limits on one (mask, window): each is its own cache
+		// entry and must match the reference's ranking.
+		for _, k := range []int{5, 1, 0, 20, len(want) + 1} {
+			gotTop, err := r.Top(rg, m, k)
+			if err != nil {
+				t.Fatalf("Top(%v, %v, %d): %v", rg, m, k, err)
+			}
+			wantTop := ref.All(m)
+			if k > 0 {
+				wantTop = ref.Top(m, k)
+			}
+			if !reflect.DeepEqual(gotTop, wantTop) {
+				t.Fatalf("window %v mask %v k=%d: Top differs from reference\n got %v\nwant %v", rg, m, k, gotTop, wantTop)
+			}
 		}
 		// Point queries over a few keys drawn from the reference table
 		// (hits) and synthesized (mostly misses).

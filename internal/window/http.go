@@ -11,6 +11,7 @@ import (
 
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
+	"cocosketch/internal/telemetry"
 )
 
 // The HTTP query endpoint (cococollector -serve-query): a thin
@@ -244,13 +245,14 @@ func writeJSON(w http.ResponseWriter, v any) {
 // Serve starts the query endpoint on addr (":0" picks a free port) and
 // returns the bound address. The listener serves until process exit —
 // the cococollector -serve-query deployment shape, mirroring
-// telemetry.Serve.
+// telemetry.Serve, with the same connection bounds
+// (telemetry.NewServer).
 func Serve(addr string, r *Ring) (string, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("window: query endpoint: %w", err)
 	}
-	srv := &http.Server{Handler: Handler(r)}
+	srv := telemetry.NewServer(Handler(r))
 	go func() { _ = srv.Serve(l) }()
 	return l.Addr().String(), nil
 }

@@ -6,11 +6,14 @@ package window_test
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
+	"time"
 
+	"cocosketch/internal/telemetry"
 	"cocosketch/internal/trace"
 	"cocosketch/internal/window"
 )
@@ -231,5 +234,32 @@ func TestServe(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestServeDropsSlowHeaders sends half a request line and stalls: the
+// query endpoint must close the connection once the header timeout
+// passes.
+func TestServeDropsSlowHeaders(t *testing.T) {
+	t.Parallel()
+	addr, err := window.Serve("127.0.0.1:0", window.NewRing(1, testConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /epo")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(telemetry.ReadHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < telemetry.ReadHeaderTimeout/2 {
+		t.Fatalf("closed after %v, before the header timeout", waited)
 	}
 }

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"slices"
+
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/query"
 	"cocosketch/internal/sketch"
@@ -9,10 +11,10 @@ import (
 // Window-scoped partial-key queries: each method resolves the range to
 // its canonical [from, to) bounds, obtains the merged window engine
 // (cached per window), and serves the answer through the result cache
-// keyed by (operation, partial key, window). Mutable results (maps,
-// row slices) are returned as copies so callers can never corrupt a
-// cached value. All methods are safe for concurrent use and never
-// block Seal.
+// keyed by (operation, mask, partial key or row limit, window).
+// Mutable results (maps, row slices) are returned as copies so callers
+// can never corrupt a cached value. All methods are safe for
+// concurrent use and never block Seal.
 
 // Query returns the estimated size of one partial-key flow over the
 // window: the subset sum of the merged full-key estimates mapping to
@@ -63,54 +65,47 @@ func (r *Ring) GroupBy(rg Range, m flowkey.Mask) (map[flowkey.FiveTuple]uint64, 
 }
 
 // Top returns the k largest partial-key flows under a mask over the
-// window (all of them when k <= 0), sorted by size descending with the
-// same deterministic tie-break sketch.TopK applies everywhere else.
-// The returned slice is the caller's to mutate.
+// window (all of them when k <= 0), in the rank order of sketch.TopK.
+// The cache holds exactly the rows returned, keyed by (mask, window,
+// k), so a miss ranks with a bounded selection and never sorts every
+// group unless k <= 0 asks for them all. The returned slice is the
+// caller's to mutate.
 func (r *Ring) Top(rg Range, m flowkey.Mask, k int) ([]sketch.Entry[flowkey.FiveTuple], error) {
-	rows, err := r.rows(rg, m)
-	if err != nil {
-		return nil, err
-	}
-	if k <= 0 || k > len(rows) {
-		k = len(rows)
-	}
-	out := make([]sketch.Entry[flowkey.FiveTuple], k)
-	copy(out, rows[:k])
-	return out, nil
-}
-
-// SQL parses and executes the restricted SQL dialect of §4.3 over the
-// window; rows come back sorted by size descending. The returned slice
-// is the caller's to mutate.
-func (r *Ring) SQL(stmt string, rg Range) ([]sketch.Entry[flowkey.FiveTuple], error) {
-	m, err := query.ParseSQL(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return r.Top(rg, m, 0)
-}
-
-// rows returns the full sorted row set for (mask, window) through the
-// result cache; Top and SQL slice copies off it.
-func (r *Ring) rows(rg Range, m flowkey.Mask) ([]sketch.Entry[flowkey.FiveTuple], error) {
 	r.tel.queries.Inc()
 	span, from, to, err := r.resolve(rg)
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey{op: opRows, from: from, to: to, mask: m}
+	k = max(k, 0)
+	key := cacheKey{op: opTop, from: from, to: to, mask: m, limit: k}
 	if v, ok := r.cache.get(key); ok {
 		r.tel.cacheHits.Inc()
-		return v.([]sketch.Entry[flowkey.FiveTuple]), nil
+		return slices.Clone(v.([]sketch.Entry[flowkey.FiveTuple])), nil
 	}
 	r.tel.cacheMisses.Inc()
 	eng, err := r.engineFor(span, from, to)
 	if err != nil {
 		return nil, err
 	}
-	rows := sketch.Entries(eng.GroupBy(m))
+	var rows []sketch.Entry[flowkey.FiveTuple]
+	if k == 0 {
+		rows = eng.All(m)
+	} else {
+		rows = eng.Top(m, k)
+	}
 	r.cache.put(key, rows)
-	return rows, nil
+	return slices.Clone(rows), nil
+}
+
+// SQL parses and executes the restricted SQL dialect of §4.3 over the
+// window; every row comes back, sorted by size descending. The
+// returned slice is the caller's to mutate.
+func (r *Ring) SQL(stmt string, rg Range) ([]sketch.Entry[flowkey.FiveTuple], error) {
+	m, err := query.ParseSQL(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return r.Top(rg, m, 0)
 }
 
 // copyTable returns a fresh map with the same contents.
