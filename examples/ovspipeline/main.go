@@ -25,12 +25,11 @@ func main() {
 		frames[i] = packet.Build(tr.Packets[i].Key, packet.BuildOptions{})
 	}
 
-	// The datapath's parser: frames back to keys (zero-alloc decoder).
-	var dec packet.Decoder
+	// The datapath's parser: frames back to keys (zero-alloc extractor).
 	parsed := &trace.Trace{Name: "frames", Packets: make([]trace.Packet, 0, len(frames))}
 	for _, f := range frames {
-		key, err := dec.FiveTuple(f)
-		if err != nil {
+		key, ok := packet.ExtractFiveTuple(f)
+		if !ok {
 			continue // non-IP traffic is not measured
 		}
 		parsed.Packets = append(parsed.Packets, trace.Packet{Key: key, Size: uint32(len(f))})

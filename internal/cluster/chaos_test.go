@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,12 +189,9 @@ type clusterOpts struct {
 // clusterResult is everything one run produced, for determinism
 // comparison and invariant checks.
 type clusterResult struct {
-	// events is the transcript with connection-close lines removed;
-	// closes holds those lines sorted. Close lines are emitted by
-	// handler goroutines tearing down after their peer vanished, which
-	// races harmlessly with the driver's next step — their multiset is
-	// deterministic, their interleaving is not. Everything else
-	// (writes, dials, probes, partitions) must replay in exact order.
+	// events and closes are the transcript split by
+	// faultnet.SplitTranscript: every line but the connection closes,
+	// in exact order, and the close lines as a sorted multiset.
 	events []string
 	closes []string
 
@@ -211,20 +206,6 @@ type clusterResult struct {
 	healthy     []string
 	elapsed     time.Duration
 	backends    []*netwide.Collector
-}
-
-// splitTranscript separates connection-close lines (order racy,
-// multiset deterministic) from everything else (order deterministic).
-func splitTranscript(transcript []string) (events, closes []string) {
-	for _, line := range transcript {
-		if strings.Contains(line, " close ") {
-			closes = append(closes, line)
-			continue
-		}
-		events = append(events, line)
-	}
-	sort.Strings(closes)
-	return events, closes
 }
 
 // runClusterChaos executes one full cluster scenario — backends,
@@ -383,7 +364,7 @@ func runClusterChaos(t *testing.T, seed uint64, o clusterOpts) clusterResult {
 		elapsed:     n.Now().Sub(faultnet.Base),
 		backends:    colls,
 	}
-	res.events, res.closes = splitTranscript(n.Transcript())
+	res.events, res.closes = faultnet.SplitTranscript(n.Transcript())
 	for i := range regA {
 		s := regA[i].Snapshot()
 		res.agentC = append(res.agentC, s.Counters)

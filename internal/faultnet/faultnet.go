@@ -36,6 +36,8 @@ package faultnet
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -241,6 +243,27 @@ func (n *Network) Transcript() []string {
 	out := make([]string, len(n.transcript))
 	copy(out, n.transcript)
 	return out
+}
+
+// SplitTranscript separates a transcript's connection-close lines
+// from everything else, for comparing two replays of one seed. Each
+// end of a connection logs its own close, and the two ends close
+// concurrently (a handler tears down while the driver takes its next
+// step), so where a close line lands relative to the other end's close
+// or to a write line depends on goroutine scheduling; which close
+// lines appear does not. events keeps every other line in its exact
+// order; closes holds the close lines sorted, so replays compare them
+// as a multiset.
+func SplitTranscript(transcript []string) (events, closes []string) {
+	for _, line := range transcript {
+		if f := strings.Fields(line); len(f) == 3 && f[1] == "close" {
+			closes = append(closes, line)
+			continue
+		}
+		events = append(events, line)
+	}
+	sort.Strings(closes)
+	return events, closes
 }
 
 // log appends one formatted transcript line. Caller holds n.mu.

@@ -383,3 +383,25 @@ func TestProbeTracksReachabilityWithoutConnections(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitTranscript pins the comparison the chaos suites rely on:
+// close lines come out sorted, every other line keeps its order.
+func TestSplitTranscript(t *testing.T) {
+	in := []string{
+		"conn1 dial collector",
+		"conn1 c->s write#1 ok 12B",
+		"conn1 close s->c",
+		"conn1 s->c write#1 ok 4B",
+		"conn1 close c->s",
+		"network partition=true",
+	}
+	events, closes := SplitTranscript(in)
+	wantEvents := []string{in[0], in[1], in[3], in[5]}
+	wantCloses := []string{"conn1 close c->s", "conn1 close s->c"}
+	if !reflect.DeepEqual(events, wantEvents) {
+		t.Fatalf("events = %q, want %q", events, wantEvents)
+	}
+	if !reflect.DeepEqual(closes, wantCloses) {
+		t.Fatalf("closes = %q, want %q", closes, wantCloses)
+	}
+}

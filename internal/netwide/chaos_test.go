@@ -4,7 +4,8 @@ package netwide
 // faultnet's deterministic simulated network under injected latency,
 // drops, partial writes, resets, partitions and bandwidth collapse.
 // Every scenario is executed twice per seed and must produce an
-// identical fault transcript and identical telemetry both times
+// identical fault transcript (close lines compared as a multiset, see
+// faultnet.SplitTranscript) and identical telemetry both times
 // (determinism), and every run must balance the conservation ledger
 //
 //	observed = delivered_weight + spool_weight + dropped_weight
@@ -81,7 +82,11 @@ type chaosOpts struct {
 // chaosResult is everything a scenario run produced, for determinism
 // comparison and invariant checks.
 type chaosResult struct {
-	transcript  []string
+	// events and closes are the fault transcript split by
+	// faultnet.SplitTranscript: every line but the connection closes,
+	// in exact order, and the close lines as a sorted multiset.
+	events      []string
+	closes      []string
 	agentC      map[string]uint64
 	agentG      map[string]int64
 	collC       map[string]uint64
@@ -169,7 +174,6 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 
 	snapA, snapC := regA.Snapshot(), regC.Snapshot()
 	res := chaosResult{
-		transcript:  n.Transcript(),
 		agentC:      snapA.Counters,
 		agentG:      snapA.Gauges,
 		collC:       snapC.Counters,
@@ -178,6 +182,7 @@ func runChaos(t *testing.T, seed uint64, o chaosOpts) chaosResult {
 		elapsed:     n.Now().Sub(faultnet.Base),
 		collector:   coll,
 	}
+	res.events, res.closes = faultnet.SplitTranscript(n.Transcript())
 	for e := uint32(0); int(e) < o.epochs; e++ {
 		if eng, ok := coll.Epoch(e); ok {
 			res.epochTables[e] = eng.FullTable()
@@ -361,9 +366,12 @@ func TestChaosScenarios(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/seed=%d", codec.name, sc.name, seed), func(t *testing.T) {
 					a := runChaos(t, seed, opts)
 					b := runChaos(t, seed, opts)
-					if !reflect.DeepEqual(a.transcript, b.transcript) {
+					if !reflect.DeepEqual(a.events, b.events) {
 						t.Errorf("same seed, diverging transcripts:\nrun A (%d events)\nrun B (%d events)",
-							len(a.transcript), len(b.transcript))
+							len(a.events), len(b.events))
+					}
+					if !reflect.DeepEqual(a.closes, b.closes) {
+						t.Errorf("same seed, diverging close sets (%d vs %d closes)", len(a.closes), len(b.closes))
 					}
 					if !reflect.DeepEqual(a.agentC, b.agentC) || !reflect.DeepEqual(a.agentG, b.agentG) {
 						t.Error("same seed, diverging agent telemetry")

@@ -7,33 +7,16 @@ import (
 )
 
 // The AllocsPerRun gates below pin the per-packet allocation count of
-// the decode and build hot paths at zero, so a future change cannot
-// silently reintroduce heap traffic into the ingest pipeline (the
-// regression this PR removes). Companion gates live in
-// internal/flowkey (HashSeeds), internal/core (InsertBatch) and
-// internal/shard (the full replay loop); `make bench-alloc` runs them
-// all.
+// the frame builder at zero (TestExtractNoAllocs gates the extractor),
+// so a change cannot silently reintroduce heap traffic into the ingest
+// pipeline. Companion gates live in internal/flowkey (HashSeeds),
+// internal/core (InsertBatch) and internal/shard (the full replay
+// loop); `make bench-alloc` runs them all.
 
 func allocTestKey() flowkey.FiveTuple {
 	return flowkey.FiveTuple{
 		SrcIP: [4]byte{10, 1, 2, 3}, DstIP: [4]byte{10, 9, 8, 7},
 		SrcPort: 443, DstPort: 50000, Proto: ProtoTCP,
-	}
-}
-
-func TestDecoderFiveTupleNoAllocs(t *testing.T) {
-	frame := Build(allocTestKey(), BuildOptions{PayloadLen: 100})
-	vlan := Build(allocTestKey(), BuildOptions{VLANID: 12})
-	var d Decoder
-	if n := testing.AllocsPerRun(1000, func() {
-		if _, err := d.FiveTuple(frame); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.FiveTuple(vlan); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("Decoder.FiveTuple allocates %.1f times per run, want 0", n)
 	}
 }
 

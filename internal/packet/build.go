@@ -31,9 +31,9 @@ func frameLen(key flowkey.FiveTuple, opt BuildOptions) (total, ethLen int) {
 
 // Build constructs a well-formed Ethernet/IPv4/{TCP,UDP} frame carrying
 // the given 5-tuple. Unknown protocols produce a bare IPv4 packet whose
-// payload is zero-filled. The frame decodes back to the same key via
-// Decoder.FiveTuple (round-trip property used in tests and the OVS
-// pipeline). The whole frame is built into one exactly-sized buffer —
+// payload is zero-filled. ExtractFiveTuple recovers the same key from
+// the frame (round-trip property used in tests and the OVS pipeline).
+// The whole frame is built into one exactly-sized buffer —
 // a single allocation; callers that want none use AppendBuild.
 func Build(key flowkey.FiveTuple, opt BuildOptions) []byte {
 	return AppendBuild(nil, key, opt)

@@ -2,19 +2,19 @@ package packet
 
 import "cocosketch/internal/flowkey"
 
-// ExtractFiveTuple is the allocation-free 5-tuple extractor of the
-// run-to-completion replay path. It accepts exactly the frames
-// Decoder.FiveTuple accepts and produces the identical key (the
-// differential property is fuzzed in fuzz_test.go), but reports
-// failure as ok == false instead of constructing an error, so the
-// reject path — non-IP traffic, truncated frames — costs no
+// ExtractFiveTuple pulls the 5-tuple full key out of an Ethernet frame
+// in one pass over the header bytes. It reports a frame it cannot key
+// — non-IP traffic, truncated headers, an IHL or TCP data offset that
+// points past the frame — as ok == false, so the reject path costs no
 // allocation either. The frame is only read within len(frame): the
 // extractor works directly on a record view into a pcap reader's
 // buffer with no copying.
 //
-// Like Decoder.FiveTuple, it consumes one optional 802.1Q tag, folds
-// IPv6 addresses into the IPv4 key space, and leaves ports zero for
-// non-TCP/UDP protocols.
+// It consumes one optional 802.1Q tag, folds IPv6 addresses into the
+// IPv4 key space (the paper's key is the IPv4 5-tuple), and leaves
+// ports zero for non-TCP/UDP protocols. A layer-by-layer reference
+// decoder in the package tests pins it bit for bit
+// (TestExtractMatchesDecoder, FuzzDecoder).
 func ExtractFiveTuple(frame []byte) (key flowkey.FiveTuple, ok bool) {
 	if len(frame) < 14 {
 		return key, false

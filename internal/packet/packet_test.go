@@ -1,7 +1,6 @@
 package packet
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -23,37 +22,35 @@ func udpKey() flowkey.FiveTuple {
 }
 
 func TestBuildDecodeRoundTripTCP(t *testing.T) {
-	var d Decoder
 	frame := Build(tcpKey(), BuildOptions{PayloadLen: 100})
-	got, err := d.FiveTuple(frame)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := ExtractFiveTuple(frame)
+	if !ok {
+		t.Fatal("built TCP frame rejected")
 	}
 	if got != tcpKey() {
 		t.Fatalf("round trip: got %v, want %v", got, tcpKey())
 	}
-	if d.TCP.Flags != TCPAck {
-		t.Fatalf("TCP flags = %#x, want ACK", d.TCP.Flags)
+	if flags := frame[14+20+13]; flags != TCPAck {
+		t.Fatalf("TCP flags = %#x, want ACK", flags)
 	}
 }
 
 func TestBuildDecodeRoundTripUDP(t *testing.T) {
-	var d Decoder
 	frame := Build(udpKey(), BuildOptions{PayloadLen: 8})
-	got, err := d.FiveTuple(frame)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := ExtractFiveTuple(frame)
+	if !ok {
+		t.Fatal("built UDP frame rejected")
 	}
 	if got != udpKey() {
 		t.Fatalf("round trip: got %v, want %v", got, udpKey())
 	}
-	if d.UDP.Length != 16 {
-		t.Fatalf("UDP length = %d, want 16", d.UDP.Length)
+	udp := frame[14+20:]
+	if l := uint16(udp[4])<<8 | uint16(udp[5]); l != 16 {
+		t.Fatalf("UDP length = %d, want 16", l)
 	}
 }
 
 func TestBuildDecodeRoundTripQuick(t *testing.T) {
-	var d Decoder
 	f := func(src, dst uint32, sp, dp uint16, isTCP bool) bool {
 		key := flowkey.FiveTuple{
 			SrcIP:   flowkey.IPv4FromUint32(src),
@@ -63,8 +60,8 @@ func TestBuildDecodeRoundTripQuick(t *testing.T) {
 		if isTCP {
 			key.Proto = ProtoTCP
 		}
-		got, err := d.FiveTuple(Build(key, BuildOptions{}))
-		return err == nil && got == key
+		got, ok := ExtractFiveTuple(Build(key, BuildOptions{}))
+		return ok && got == key
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -72,20 +69,19 @@ func TestBuildDecodeRoundTripQuick(t *testing.T) {
 }
 
 func TestVLANTag(t *testing.T) {
-	var d Decoder
 	frame := Build(tcpKey(), BuildOptions{VLANID: 42})
-	got, err := d.FiveTuple(frame)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := ExtractFiveTuple(frame)
+	if !ok {
+		t.Fatal("VLAN-tagged frame rejected")
 	}
 	if got != tcpKey() {
 		t.Fatalf("VLAN round trip: got %v", got)
 	}
-	if d.Eth.VLANID != 42 {
-		t.Fatalf("VLANID = %d, want 42", d.Eth.VLANID)
+	if id := (uint16(frame[14])<<8 | uint16(frame[15])) & 0x0FFF; id != 42 {
+		t.Fatalf("VLANID = %d, want 42", id)
 	}
-	if d.Eth.EtherType != EtherTypeIPv4 {
-		t.Fatalf("EtherType = %#x after VLAN", d.Eth.EtherType)
+	if et := uint16(frame[16])<<8 | uint16(frame[17]); et != EtherTypeIPv4 {
+		t.Fatalf("EtherType = %#x after VLAN", et)
 	}
 }
 
@@ -114,26 +110,22 @@ func TestIPv4Checksum(t *testing.T) {
 }
 
 func TestTruncatedFrames(t *testing.T) {
-	var d Decoder
 	frame := Build(tcpKey(), BuildOptions{})
 	for _, n := range []int{0, 5, 13, 20, 33, 40} {
 		if n >= len(frame) {
 			continue
 		}
-		if _, err := d.FiveTuple(frame[:n]); err == nil {
-			t.Errorf("truncation to %d bytes decoded without error", n)
-		} else if !errors.Is(err, ErrTruncated) {
-			t.Errorf("truncation to %d: error %v not ErrTruncated", n, err)
+		if _, ok := ExtractFiveTuple(frame[:n]); ok {
+			t.Errorf("truncation to %d bytes extracted a key", n)
 		}
 	}
 }
 
 func TestUnsupportedEtherType(t *testing.T) {
-	var d Decoder
 	frame := Build(tcpKey(), BuildOptions{})
 	frame[12], frame[13] = 0x08, 0x06 // ARP
-	if _, err := d.FiveTuple(frame); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("ARP decoded: err = %v", err)
+	if key, ok := ExtractFiveTuple(frame); ok {
+		t.Fatalf("ARP frame extracted key %v", key)
 	}
 }
 
@@ -150,10 +142,9 @@ func TestIPv4Options(t *testing.T) {
 	hdr[0] = 0x46 // IHL 6
 	withOpts = append(withOpts, hdr...)
 	withOpts = append(withOpts, ip[20:]...)
-	var d Decoder
-	got, err := d.FiveTuple(withOpts)
-	if err != nil {
-		t.Fatal(err)
+	got, ok := ExtractFiveTuple(withOpts)
+	if !ok {
+		t.Fatal("IPv4 frame with options rejected")
 	}
 	if got != key {
 		t.Fatalf("options round trip: got %v, want %v", got, key)
@@ -181,10 +172,9 @@ func TestIPv6Decode(t *testing.T) {
 	udp[5] = 8
 	frame = append(frame, udp...)
 
-	var d Decoder
-	key, err := d.FiveTuple(frame)
-	if err != nil {
-		t.Fatal(err)
+	key, ok := ExtractFiveTuple(frame)
+	if !ok {
+		t.Fatal("IPv6 frame rejected")
 	}
 	if key.Proto != ProtoUDP || key.SrcPort != 5000 || key.DstPort != 53 {
 		t.Fatalf("IPv6 key = %v", key)
@@ -198,37 +188,25 @@ func TestNonTCPUDPProtocol(t *testing.T) {
 	key := tcpKey()
 	key.Proto = 47 // GRE
 	key.SrcPort, key.DstPort = 0, 0
-	var d Decoder
-	got, err := d.FiveTuple(Build(key, BuildOptions{PayloadLen: 4}))
-	if err != nil {
-		t.Fatal(err)
+	got, ok := ExtractFiveTuple(Build(key, BuildOptions{PayloadLen: 4}))
+	if !ok {
+		t.Fatal("GRE frame rejected")
 	}
 	if got != key {
 		t.Fatalf("GRE key = %v, want %v", got, key)
 	}
 }
 
+// TestDecoderReuseNoCrosstalk checks that extracting one frame leaves
+// nothing behind that changes the key of the next.
 func TestDecoderReuseNoCrosstalk(t *testing.T) {
-	var d Decoder
-	k1, _ := d.FiveTuple(Build(tcpKey(), BuildOptions{}))
-	k2, _ := d.FiveTuple(Build(udpKey(), BuildOptions{}))
+	k1, _ := ExtractFiveTuple(Build(tcpKey(), BuildOptions{}))
+	k2, _ := ExtractFiveTuple(Build(udpKey(), BuildOptions{}))
 	if k1 == k2 {
-		t.Fatal("decoder state leaked across packets")
+		t.Fatal("extractor state leaked across packets")
 	}
-	k3, _ := d.FiveTuple(Build(tcpKey(), BuildOptions{}))
+	k3, _ := ExtractFiveTuple(Build(tcpKey(), BuildOptions{}))
 	if k3 != k1 {
-		t.Fatal("decoder not idempotent across reuse")
-	}
-}
-
-func BenchmarkDecodeFiveTuple(b *testing.B) {
-	var d Decoder
-	frame := Build(tcpKey(), BuildOptions{PayloadLen: 64})
-	b.SetBytes(int64(len(frame)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.FiveTuple(frame); err != nil {
-			b.Fatal(err)
-		}
+		t.Fatal("extractor not idempotent across calls")
 	}
 }

@@ -42,7 +42,6 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.LinkType() != LinkTypeEthernet {
 		t.Fatalf("link type = %d", r.LinkType())
 	}
-	var d packet.Decoder
 	for i := 0; ; i++ {
 		hdr, data, err := r.Next()
 		if err == io.EOF {
@@ -64,9 +63,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if !hdr.Timestamp.Equal(wantTS) {
 			t.Fatalf("record %d ts %v, want %v", i, hdr.Timestamp, wantTS)
 		}
-		k, err := d.FiveTuple(data)
-		if err != nil {
-			t.Fatal(err)
+		k, ok := packet.ExtractFiveTuple(data)
+		if !ok {
+			t.Fatalf("record %d: key extraction failed", i)
 		}
 		if k != keys[i] {
 			t.Fatalf("record %d key %v, want %v", i, k, keys[i])

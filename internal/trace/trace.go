@@ -336,8 +336,9 @@ func (t *Trace) WritePCAP(w io.Writer, snapLen uint32) error {
 }
 
 // FromPCAP decodes an Ethernet pcap stream into a trace, skipping
-// frames the decoder does not understand (mirroring how measurement
-// pipelines ignore non-IP traffic).
+// frames packet.ExtractFiveTuple cannot key (mirroring how measurement
+// pipelines ignore non-IP traffic). Timestamps count from the first
+// kept packet.
 func FromPCAP(r io.Reader) (*Trace, error) {
 	pr, err := pcap.NewReader(r)
 	if err != nil {
@@ -346,7 +347,6 @@ func FromPCAP(r io.Reader) (*Trace, error) {
 	if lt := pr.LinkType(); lt != pcap.LinkTypeEthernet {
 		return nil, fmt.Errorf("trace: unsupported link type %d", lt)
 	}
-	var d packet.Decoder
 	out := &Trace{Name: "pcap"}
 	var base time.Time
 	for {
@@ -357,8 +357,8 @@ func FromPCAP(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		key, err := d.FiveTuple(data)
-		if err != nil {
+		key, ok := packet.ExtractFiveTuple(data)
+		if !ok {
 			continue // non-IP or truncated frame
 		}
 		if base.IsZero() {

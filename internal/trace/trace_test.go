@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/packet"
+	"cocosketch/internal/pcap"
 	"cocosketch/internal/xrand"
 )
 
@@ -220,6 +222,100 @@ func TestPCAPRoundTrip(t *testing.T) {
 		}
 		if back.Packets[i].Size != tr.Packets[i].Size {
 			t.Fatalf("packet %d size mismatch: %d vs %d", i, back.Packets[i].Size, tr.Packets[i].Size)
+		}
+	}
+}
+
+// TestFromPCAPSkipsUnkeyableFrames feeds FromPCAP a capture that mixes
+// frames the extractor must reject (ARP, a VLAN tag cut short, an IHL
+// pointing past the frame) with well-formed IPv6, VLAN and
+// IPv4-options frames. FromPCAP must keep exactly the frames
+// packet.ExtractFiveTuple accepts, in capture order, with their keys,
+// their on-wire length as Size, and timestamps counted from the first
+// kept packet.
+func TestFromPCAPSkipsUnkeyableFrames(t *testing.T) {
+	tcp := flowkey.FiveTuple{
+		SrcIP: [4]byte{10, 0, 0, 1}, DstIP: [4]byte{10, 0, 0, 2},
+		SrcPort: 443, DstPort: 51234, Proto: packet.ProtoTCP,
+	}
+	udp := flowkey.FiveTuple{
+		SrcIP: [4]byte{172, 16, 0, 5}, DstIP: [4]byte{8, 8, 8, 8},
+		SrcPort: 5353, DstPort: 53, Proto: packet.ProtoUDP,
+	}
+
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
+	ihlLiar := packet.Build(tcp, packet.BuildOptions{})
+	ihlLiar[14] = 0x4F // IHL 15: a 60-byte header the frame does not have
+	ipv6 := make([]byte, 14+40+8)
+	ipv6[12], ipv6[13] = 0x86, 0xDD
+	ipv6[14] = 6 << 4
+	ipv6[14+6] = packet.ProtoUDP
+	for i := 14 + 8; i < 14+40; i++ {
+		ipv6[i] = byte(i)
+	}
+	ipv6[54], ipv6[55], ipv6[56], ipv6[57] = 0x13, 0x88, 0x00, 0x35
+	// Splice a NOP NOP NOP EOL option word after the base IPv4 header.
+	opts := packet.Build(udp, packet.BuildOptions{PayloadLen: 4})
+	opts = append(opts[:34:34], append([]byte{1, 1, 1, 0}, opts[34:]...)...)
+	opts[14] = 0x46 // IHL 6
+
+	frames := []struct {
+		name    string
+		frame   []byte
+		origLen int
+		keep    bool
+	}{
+		{"arp", arp, 60, false},
+		{"truncated-vlan", packet.Build(tcp, packet.BuildOptions{VLANID: 9})[:16], 64, false},
+		{"ipv6", ipv6, 1500, true},
+		{"ihl-liar", ihlLiar, 0, false},
+		{"vlan", packet.Build(udp, packet.BuildOptions{VLANID: 42, PayloadLen: 10}), 0, true},
+		{"ipv4-options", opts, 900, true},
+		{"arp-late", arp, 60, false},
+		{"tcp", packet.Build(tcp, packet.BuildOptions{PayloadLen: 32}), 0, true},
+	}
+
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, pcap.LinkTypeEthernet, 65535)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Unix(1700000000, 0)
+	var want []Packet
+	var firstKept time.Time
+	for i, f := range frames {
+		ts := base.Add(time.Duration(i) * time.Millisecond)
+		if err := w.WritePacket(ts, f.frame, f.origLen); err != nil {
+			t.Fatal(err)
+		}
+		key, ok := packet.ExtractFiveTuple(f.frame)
+		if ok != f.keep {
+			t.Fatalf("%s: extractor ok=%v, test expects keep=%v", f.name, ok, f.keep)
+		}
+		if !ok {
+			continue
+		}
+		if firstKept.IsZero() {
+			firstKept = ts
+		}
+		size := max(f.origLen, len(f.frame))
+		want = append(want, Packet{Key: key, Size: uint32(size), TS: ts.Sub(firstKept)})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := FromPCAP(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Packets) != len(want) {
+		t.Fatalf("kept %d packets, want %d", len(got.Packets), len(want))
+	}
+	for i := range want {
+		if got.Packets[i] != want[i] {
+			t.Errorf("packet %d = %+v, want %+v", i, got.Packets[i], want[i])
 		}
 	}
 }
