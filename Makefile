@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos bench bench-insert bench-ring bench-smoke bench-alloc bench-report bench-query fuzz fmt docs clean cover verify-stats
+.PHONY: build test race chaos bench bench-insert bench-ring bench-smoke bench-alloc bench-report bench-query bench-perfbench fuzz fmt docs clean cover verify-stats
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,8 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
-# Race-check the concurrent packages (SPSC ring + pipeline, sharded
-# ingest engine, network-wide merge workers, cluster dispatcher, query
+# Race-check the concurrent packages (SPSC ring + pipeline, multi-queue
+# replay, network-wide merge workers, cluster dispatcher, query
 # front-end against a live sealing loop, telemetry instruments), then
 # the seeded chaos suite (deterministic fault injection exercises the
 # agent/collector concurrency paths hardest).
@@ -88,7 +88,12 @@ bench-query:
 	$(GO) test -run '^$$' -bench 'BenchmarkWindowTopMiss/' -count 4 ./internal/window/ \
 		| $(GO) run ./internal/tools/benchsmoke -off rows-all -on top-10 -max 0 -min 2.5
 
-bench: bench-insert bench-ring bench-smoke bench-report bench-query
+# perfbench is its own module, so the root `go test ./...` never runs
+# its smoke test; this target does.
+bench-perfbench:
+	cd perfbench && $(GO) test .
+
+bench: bench-insert bench-ring bench-smoke bench-report bench-query bench-alloc bench-perfbench
 
 # Short fuzz pass over the multi-seed hash (equivalence with Bob32).
 fuzz:

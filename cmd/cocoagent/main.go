@@ -3,11 +3,15 @@
 // CocoSketch and reports the sketch to a cococollector at the end of
 // each epoch.
 //
-// With -workers > 1 the epoch is ingested through the sharded engine
-// (internal/shard): N workers each update a private sketch behind an
-// SPSC ring, and the merged snapshot is absorbed into the agent's
-// epoch sketch before it is reported. Sketch memory is per worker
-// (merge compatibility requires all shards to share one geometry).
+// Each epoch replays the capture through shard.ReplayPCAPBasic: the
+// -pcap file is streamed from disk, and synthetic mode encodes its
+// per-epoch trace as pcap bytes first, so both take the same path.
+// -workers sets the number of simulated receive queues: the stream is
+// split by RSS, one goroutine per queue extracts keys and inserts them
+// into a private sketch, and the merged sketch is absorbed into the
+// agent's epoch sketch before it is reported. Sketch memory is per
+// queue (merge compatibility requires all shards to share one
+// geometry).
 //
 // With -telemetry the agent serves its runtime counters as expvar-style
 // JSON on /debug/vars and mounts net/http/pprof under /debug/pprof/.
@@ -39,9 +43,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 
@@ -86,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memKB     = fs.Int("mem", 500, "shared sketch memory in KB")
 		d         = fs.Int("d", core.DefaultArrays, "shared number of arrays")
 		seed      = fs.Uint64("seed", 1, "shared sketch seed")
-		workers   = fs.Int("workers", 1, "ingest workers per epoch (sharded engine when > 1)")
+		workers   = fs.Int("workers", 1, "simulated receive queues per epoch, each replayed into its own sketch")
 		telAddr   = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address (off when empty)")
 		redials   = fs.Int("redials", 2, "redial attempts per epoch report")
 		spool     = fs.Int("spool", 0, "bound undelivered epochs in a coalescing spool and keep measuring through collector outages (0 = fail fast on report error)")
@@ -95,6 +101,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shrink    = fs.Int("report-shrink", 8, "small-stage shrink factor for -report-codec=compressed: ship 1/N of the buckets per array (power of two dividing the geometry)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *id > math.MaxUint16 {
+		// Ids travel as uint16; a wider one would alias another agent
+		// and the collector would take its reports as duplicates.
+		fmt.Fprintf(stderr, "cocoagent: -id %d out of range (0-%d)\n", *id, math.MaxUint16)
 		return 2
 	}
 
@@ -135,39 +147,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer func() { conn.Close() }()
 
 	for e := 0; e < *epochs; e++ {
-		var tr *trace.Trace
+		var capture io.Reader
+		var file *os.File
 		if *pcapPath != "" {
-			f, err := os.Open(*pcapPath)
-			if err != nil {
+			if file, err = os.Open(*pcapPath); err != nil {
 				fmt.Fprintf(stderr, "cocoagent: %v\n", err)
 				return 1
 			}
-			tr, err = trace.FromPCAP(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "cocoagent: %v\n", err)
-				return 1
-			}
+			capture = file
 		} else {
-			tr = trace.CAIDALike(*packets, *seed+uint64(*id)*1000+uint64(e))
+			// The extractor reads only the headers, which fit in 64
+			// bytes of every synthetic frame.
+			var buf bytes.Buffer
+			tr := trace.CAIDALike(*packets, *seed+uint64(*id)*1000+uint64(e))
+			if err := tr.WritePCAP(&buf, 64); err != nil {
+				fmt.Fprintf(stderr, "cocoagent: %v\n", err)
+				return 1
+			}
+			capture = &buf
 		}
-		if *workers > 1 {
-			eng := shard.NewBasic(shard.Config{Workers: *workers, Seed: *seed, Telemetry: reg}, cfg)
-			eng.Ingest(tr.Packets)
-			eng.Close()
-			merged, err := eng.Snapshot()
-			if err != nil {
-				fmt.Fprintf(stderr, "cocoagent: sharded ingest: %v\n", err)
-				return 1
-			}
-			if err := agent.Absorb(merged); err != nil {
-				fmt.Fprintf(stderr, "cocoagent: absorb: %v\n", err)
-				return 1
-			}
-		} else {
-			for i := range tr.Packets {
-				agent.Observe(tr.Packets[i].Key, 1)
-			}
+		merged, st, err := shard.ReplayPCAPBasic(shard.ReplayConfig{Queues: *workers, Seed: *seed, Telemetry: reg}, cfg, capture)
+		if file != nil {
+			file.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "cocoagent: ingest: %v\n", err)
+			return 1
+		}
+		if err := agent.Absorb(merged); err != nil {
+			fmt.Fprintf(stderr, "cocoagent: absorb: %v\n", err)
+			return 1
 		}
 		if *spool > 0 {
 			// Hardened mode: seal the epoch (never blocks ingest) and
@@ -183,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cocoagent: report: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "agent %d: epoch %d reported (%d packets)\n", *id, e, len(tr.Packets))
+		fmt.Fprintf(stdout, "agent %d: epoch %d reported (%d packets)\n", *id, e, st.Packets)
 	}
 	if agent.PendingEpochs() > 0 {
 		if conn, err = agent.FlushWithRedial(conn, dial, *redials); err != nil || agent.PendingEpochs() > 0 {

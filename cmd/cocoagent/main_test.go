@@ -111,8 +111,10 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunTelemetryShardedWorkers checks the -workers path registers the
-// sharded-engine counters and that dispatch covers the whole trace.
+// TestRunTelemetryShardedWorkers checks the -workers path: the
+// replay's burst histogram covers every record of the epoch, and the
+// merged sketch lands in the epoch as one absorb carrying the whole
+// trace's weight.
 func TestRunTelemetryShardedWorkers(t *testing.T) {
 	_, addr := startCollector(t, 64, 2, 5)
 
@@ -128,13 +130,16 @@ func TestRunTelemetryShardedWorkers(t *testing.T) {
 	}
 
 	vars := fetchVars(t, telemetryAddr(t, stdout.String()))
-	if got := counter(t, vars, "shard.dispatched"); got != 20000 {
-		t.Errorf("shard.dispatched = %d, want 20000", got)
+	if got := counter(t, vars, "netwide.observed"); got != 20000 {
+		t.Errorf("netwide.observed = %d, want 20000", got)
 	}
-	if got := counter(t, vars, "shard.consumed"); got != 20000 {
-		t.Errorf("shard.consumed = %d, want 20000 (lossless mode)", got)
+	h, ok := vars["ingest.batch_size"].(map[string]any)
+	if !ok {
+		t.Fatalf("ingest.batch_size missing or not a histogram: %v", vars["ingest.batch_size"])
 	}
-	// The absorbed snapshot lands in the epoch sketch as one merge.
+	if got, _ := h["sum"].(float64); got != 20000 {
+		t.Errorf("ingest.batch_size sums to %v records, want 20000", h["sum"])
+	}
 	if got := counter(t, vars, "netwide.absorbs"); got != 1 {
 		t.Errorf("netwide.absorbs = %d, want 1", got)
 	}

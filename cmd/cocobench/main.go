@@ -7,7 +7,7 @@
 //	cocobench -list
 //	cocobench -run fig8,fig9 [-packets 2000000] [-seed 1] [-quick] [-bytes] [-format csv]
 //	cocobench -run fig14,fig15a -json   (also writes BENCH_cocobench.json)
-//	cocobench -run ext-scaling -workers 4 -json   (sharded-ingest Mpps vs workers)
+//	cocobench -run ext-scaling -workers 4 -json   (multi-queue replay Mpps vs queues)
 //	cocobench -run ext-zeroalloc -json   (zero-allocation replay vs legacy decode)
 //	cocobench -run all
 package main
@@ -40,12 +40,10 @@ type throughputRecord struct {
 }
 
 // telemetrySummary is the runtime-counter digest attached to the
-// BENCH_cocobench.json document: ring-drop totals and burst-size
-// quantiles from the sharded-ingest runners (zero for experiments that
-// never touch the sharded engine).
+// BENCH_cocobench.json document: burst-size quantiles of the replay
+// ingest runners (ext-scaling, ext-zeroalloc; zero for experiments that
+// never replay a capture).
 type telemetrySummary struct {
-	RingDrops    uint64 `json:"ring_drops"`
-	Consumed     uint64 `json:"consumed"`
 	BatchSizeP50 uint64 `json:"batch_size_p50"`
 	BatchSizeP99 uint64 `json:"batch_size_p99"`
 }
@@ -61,10 +59,8 @@ type benchJSON struct {
 
 // summarizeTelemetry digests a registry snapshot into the JSON fields.
 func summarizeTelemetry(snap telemetry.Snapshot) *telemetrySummary {
-	h := snap.Histograms["shard.batch_size"]
+	h := snap.Histograms["ingest.batch_size"]
 	return &telemetrySummary{
-		RingDrops:    snap.Counters["shard.ring_drops"],
-		Consumed:     snap.Counters["shard.consumed"],
 		BatchSizeP50: h.Quantile(0.5),
 		BatchSizeP99: h.Quantile(0.99),
 	}
@@ -129,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed    = fs.Uint64("seed", 1, "random seed for traces and sketches")
 		quick   = fs.Bool("quick", false, "reduced sweeps and trace size")
 		bytes   = fs.Bool("bytes", false, "measure byte counts instead of packet counts (fig8/fig9)")
-		workers = fs.Int("workers", 0, "max worker count of the sharded-ingest sweep (ext-scaling); 0 = min(8, GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "max receive-queue count of the multi-queue replay sweep (ext-scaling); 0 = min(8, GOMAXPROCS)")
 		format  = fs.String("format", "text", "output format: text or csv")
 		jsonOut = fs.Bool("json", false, "also write throughput (Mpps) results to "+benchJSONFile)
 		telAddr = fs.String("telemetry", "", "serve /debug/vars and /debug/pprof on this address while experiments run (off when empty)")

@@ -88,9 +88,8 @@ func TestRunJSON(t *testing.T) {
 }
 
 // TestRunJSONTelemetry checks the -json document carries the runtime
-// telemetry digest: a sharded-ingest experiment must populate the
-// burst-size quantiles and consumed totals (and report zero drops in
-// the default lossless mode).
+// telemetry digest: a multi-queue replay experiment must populate the
+// burst-size quantiles.
 func TestRunJSONTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	wd, err := os.Getwd()
@@ -117,15 +116,9 @@ func TestRunJSONTelemetry(t *testing.T) {
 	if bench.Telemetry == nil {
 		t.Fatalf("no telemetry block in %s:\n%s", benchJSONFile, data)
 	}
-	if bench.Telemetry.Consumed == 0 {
-		t.Error("telemetry.consumed = 0 after a sharded-ingest sweep")
-	}
 	if bench.Telemetry.BatchSizeP50 == 0 || bench.Telemetry.BatchSizeP99 < bench.Telemetry.BatchSizeP50 {
 		t.Errorf("burst-size quantiles implausible: p50=%d p99=%d",
 			bench.Telemetry.BatchSizeP50, bench.Telemetry.BatchSizeP99)
-	}
-	if bench.Telemetry.RingDrops != 0 {
-		t.Errorf("ring_drops = %d in lossless mode", bench.Telemetry.RingDrops)
 	}
 }
 

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"time"
 
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/ovs"
@@ -36,14 +37,16 @@ func main() {
 	}
 	fmt.Printf("parsed %d frames\n\n", len(parsed.Packets))
 
-	// Sweep thread counts like Figure 15(a).
-	fmt.Printf("%-8s  %-16s  %-16s\n", "threads", "Mpps(w/o Ours)", "Mpps(w/ Ours)")
+	// Sweep thread counts like Figure 15(a). One pass lasts a few
+	// milliseconds, so each cell repeats until a second of timed runs
+	// has accumulated and prints the median Mpps [min–max].
+	fmt.Printf("%-8s  %-22s  %-22s\n", "threads", "Mpps(w/o Ours)", "Mpps(w/ Ours)")
 	for _, threads := range []int{1, 2, 4} {
-		base, _ := ovs.Run(parsed, ovs.Config{Threads: threads})
-		with, decoded := ovs.Run(parsed, ovs.Config{
+		base, _ := ovs.RunRepeated(parsed, ovs.Config{Threads: threads}, 3, time.Second)
+		with, decoded := ovs.RunRepeated(parsed, ovs.Config{
 			Threads: threads, WithSketch: true, MemoryBytes: 500 * 1024, Seed: 9,
-		})
-		fmt.Printf("%-8d  %-16.2f  %-16.2f\n", threads, base.Mpps(), with.Mpps())
+		}, 3, time.Second)
+		fmt.Printf("%-8d  %-22s  %-22s\n", threads, base, with)
 
 		if threads == 4 {
 			engine := query.NewEngine(decoded)

@@ -156,8 +156,8 @@ func (t *table[K]) Arrays() int { return t.d }
 func (t *table[K]) BucketsPerArray() int { return t.l }
 
 // reseedRNG replaces the replacement-draw random source. Hash seeds
-// are untouched, so sketches stay merge-compatible: shard.Engine uses
-// this to decorrelate the replacement draws of per-worker sketches
+// are untouched, so sketches stay merge-compatible: shard.NewBasicFactory
+// uses this to decorrelate the replacement draws of per-queue sketches
 // that must share one Config (and therefore one Config.Seed).
 func (t *table[K]) reseedRNG(seed uint64) { t.rng = xrand.New(seed) }
 

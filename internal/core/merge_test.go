@@ -28,8 +28,8 @@ func fillDisjoint(s *Basic[flowkey.FiveTuple], rng *xrand.Source, base, universe
 
 // TestMergeIntoEmptyCopiesVerbatim: folding a shard into a fresh empty
 // sketch must reproduce the shard bucket-for-bucket and must consume
-// no randomness — this is exactly how shard.Engine builds its decode
-// view, and it is what makes the 1-worker engine bit-identical to the
+// no randomness — this is exactly how shard's replay builds its merged
+// sketch, and it is what makes the 1-queue replay bit-identical to the
 // sequential path.
 func TestMergeIntoEmptyCopiesVerbatim(t *testing.T) {
 	cfg := Config{Arrays: 2, BucketsPerArray: 16, Seed: 3}

@@ -28,13 +28,15 @@ type RunConfig struct {
 	// Bytes switches the flow-size metric from packet counts to byte
 	// counts (the paper's f can be either; §2.1).
 	Bytes bool
-	// Workers caps the sharded-ingest scaling sweep (ext-scaling):
-	// worker counts 1, 2, 4, … up to Workers. Zero means
-	// min(8, GOMAXPROCS). Throughput only scales with physical cores.
+	// Workers caps the multi-queue replay sweep (ext-scaling): queue
+	// counts 1, 2, 4, … up to Workers. Zero means min(8, GOMAXPROCS).
+	// ext-zeroalloc replays its multi-queue row at Workers queues
+	// (zero: min(4, GOMAXPROCS)). Throughput only scales with physical
+	// cores.
 	Workers int
-	// Telemetry, when non-nil, instruments the sharded-ingest runners
-	// (ring drops, burst sizes, sketch outcomes). Nil keeps the
-	// measurement loops un-instrumented.
+	// Telemetry, when non-nil, instruments the replay runners (burst
+	// sizes, skipped and truncated frames, sketch outcomes). Nil keeps
+	// the measurement loops un-instrumented.
 	Telemetry *telemetry.Registry
 }
 

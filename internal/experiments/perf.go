@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/metrics"
+	"cocosketch/internal/pcap"
 	"cocosketch/internal/shard"
 	"cocosketch/internal/tasks"
 	"cocosketch/internal/trace"
@@ -213,14 +215,27 @@ func scalingWorkerCounts(cap int) []int {
 	return append(out, cap)
 }
 
-// runScaling measures the sharded ingest engine (internal/shard) on
-// the CAIDA-like workload: Mpps vs worker count, the software scaling
-// curve of the paper's OVS deployment (§6.1: one sketch per dataplane
-// thread, merged at decode). Each run also cross-checks correctness —
-// lossless ingest must conserve the stream weight through dispatch,
-// rings and decode-time merge.
+// runScaling measures multi-queue replay (shard.ReplayQueues) on the
+// CAIDA-like workload: Mpps vs receive-queue count, the software
+// scaling curve of the paper's OVS deployment (§6.1: one sketch per
+// dataplane thread, merged at decode). The capture is encoded and
+// RSS-partitioned once per queue count as untimed setup (a real NIC
+// splits in hardware); only the replay and merge are timed. Each run
+// also cross-checks correctness: every packet is replayed, and the
+// merged sketch conserves the stream weight.
 func runScaling(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
+	var capture bytes.Buffer
+	if err := tr.WritePCAP(&capture, zeroAllocSnapLen); err != nil {
+		return nil, err
+	}
+	mass := uint64(len(tr.Packets))
+	if cfg.Bytes {
+		mass = 0
+		for i := range tr.Packets {
+			mass += uint64(tr.Packets[i].Size)
+		}
+	}
 	maxWorkers := cfg.Workers
 	if maxWorkers <= 0 {
 		if maxWorkers = runtime.GOMAXPROCS(0); maxWorkers > 8 {
@@ -234,7 +249,7 @@ func runScaling(cfg RunConfig) (*TableResult, error) {
 
 	out := &TableResult{
 		ID:      "ext-scaling",
-		Title:   "Sharded ingest throughput vs workers (500KB/worker, CAIDA-like)",
+		Title:   "Multi-queue replay throughput vs receive queues (500KB/queue, CAIDA-like)",
 		Columns: []string{"workers", "Mpps", "speedup"},
 		Notes: []string{
 			"paper §6.1: one sketch per dataplane thread, merged at decode; near-linear until memory bandwidth",
@@ -242,19 +257,27 @@ func runScaling(cfg RunConfig) (*TableResult, error) {
 		},
 	}
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500*1024, cfg.Seed+7)
+	replayCfg := shard.ReplayConfig{Seed: cfg.Seed, Bytes: cfg.Bytes, Telemetry: cfg.Telemetry}
 	var base float64
 	for _, w := range counts {
-		eng := shard.NewBasic(shard.Config{Workers: w, Seed: cfg.Seed, Bytes: cfg.Bytes, Telemetry: cfg.Telemetry}, sketchCfg)
-		start := time.Now()
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		elapsed := time.Since(start).Seconds()
-		st := eng.Stats()
-		if st.Consumed != uint64(len(tr.Packets)) {
-			return nil, fmt.Errorf("ext-scaling: %d workers consumed %d of %d packets",
-				w, st.Consumed, len(tr.Packets))
+		qs, err := pcap.PartitionRSS(bytes.NewReader(capture.Bytes()), w, cfg.Seed)
+		if err != nil {
+			return nil, err
 		}
-		mpps := float64(len(tr.Packets)) / elapsed / 1e6
+		start := time.Now()
+		merged, st, err := shard.ReplayQueues(replayCfg, shard.NewBasicFactory(sketchCfg, cfg.Telemetry), qs)
+		if err != nil {
+			return nil, err
+		}
+		elapsed := time.Since(start).Seconds()
+		if st.Packets != uint64(len(tr.Packets)) {
+			return nil, fmt.Errorf("ext-scaling: %d queues replayed %d of %d packets",
+				w, st.Packets, len(tr.Packets))
+		}
+		if got := merged.SumValues(); got != mass {
+			return nil, fmt.Errorf("ext-scaling: %d queues merged mass %d, want %d", w, got, mass)
+		}
+		mpps := float64(st.Packets) / elapsed / 1e6
 		if w == 1 {
 			base = mpps
 		}

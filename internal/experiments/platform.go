@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"cocosketch/internal/fpga"
 	"cocosketch/internal/ovs"
@@ -51,8 +52,15 @@ func runTable2(RunConfig) (*TableResult, error) {
 	return out, nil
 }
 
+// fig15aMinTime is the timed run time each fig15a cell accumulates
+// outside Quick mode.
+const fig15aMinTime = time.Second
+
 // runFig15a reproduces Figure 15(a): OVS datapath throughput vs thread
-// count, with and without CocoSketch measurement attached.
+// count, with and without CocoSketch measurement attached. One pass
+// over the trace lasts milliseconds, so each cell repeats the run until
+// at least fig15aMinTime of timed runs has accumulated (a fixed 3 runs
+// in Quick mode) and prints the median Mpps with its min–max range.
 func runFig15a(cfg RunConfig) (*TableResult, error) {
 	tr := trace.CAIDALike(cfg.packets(), cfg.Seed)
 	out := &TableResult{
@@ -62,18 +70,23 @@ func runFig15a(cfg RunConfig) (*TableResult, error) {
 		Notes: []string{
 			"paper: with >=2 threads CocoSketch saturates the 40G NIC at <1.8% CPU overhead",
 			"here the datapath is in-memory replay; thread scaling requires physical cores (flat on a single-core host)",
+			"cells: median Mpps [min–max] over repeated runs",
 		},
 	}
 	threads := []int{1, 2, 3, 4}
 	if cfg.Quick {
 		threads = []int{1, 2}
 	}
+	minTime := fig15aMinTime
+	if cfg.Quick {
+		minTime = 0
+	}
 	for _, th := range threads {
-		base, _ := ovs.Run(tr, ovs.Config{Threads: th, WithSketch: false, Seed: cfg.Seed})
-		with, _ := ovs.Run(tr, ovs.Config{
+		base, _ := ovs.RunRepeated(tr, ovs.Config{Threads: th, WithSketch: false, Seed: cfg.Seed}, 3, minTime)
+		with, _ := ovs.RunRepeated(tr, ovs.Config{
 			Threads: th, WithSketch: true, MemoryBytes: 500 * 1024, Seed: cfg.Seed,
-		})
-		out.AddRow(th, base.Mpps(), with.Mpps())
+		}, 3, minTime)
+		out.AddRow(th, base.String(), with.String())
 	}
 	return out, nil
 }

@@ -8,12 +8,11 @@ const rssSeedMix = 0x5bd1e995
 // RSSIndex maps a key to one of n receive queues, the way a NIC's
 // receive-side scaling spreads flows across hardware queues: one
 // Bob32 hash of the canonical encoding under a seed derived from the
-// engine seed, range-reduced by multiply-shift. It is the single
-// definition of the split shared by the shard dispatcher and the
-// simulated multi-queue pcap replay (pcap.PartitionRSS), so a trace
-// partitioned into n queues lands packets on exactly the workers the
-// dispatcher would have chosen — the property behind the bit-identical
-// multi-queue replay tests.
+// caller's seed, range-reduced by multiply-shift. It is the single
+// definition of the split: the simulated multi-queue pcap replay
+// (pcap.PartitionRSS) and the OVS pipeline (ovs.Run) both steer with
+// it, and the sequential N-shard references of the bit-identical
+// multi-queue replay tests split their keys with it.
 //
 // All packets of a flow map to one queue (the hash sees only the key),
 // and n == 1 always returns 0. The call performs no allocation.

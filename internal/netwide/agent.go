@@ -275,17 +275,18 @@ func (a *Agent) Observe(key flowkey.FiveTuple, w uint64) {
 }
 
 // ObserveBatch records a burst of unit-weight packets through the
-// batched insert path (the ring-drain hot path of shard.Engine and the
-// OVS pipeline).
+// batched insert path (the path shard's replay loop and the OVS
+// pipeline insert through).
 func (a *Agent) ObserveBatch(keys []flowkey.FiveTuple) {
 	a.sketch.InsertBatchUnit(keys)
 	a.tel.observed.Add(uint64(len(keys)))
 }
 
 // Absorb merges an externally built sketch of the shared Config into
-// the current epoch — the hand-off point for sharded ingest: a
-// shard.Engine measures the epoch's traffic across N workers, and its
-// merged snapshot lands here before Report ships it to the collector.
+// the current epoch — the hand-off point for replay ingest:
+// shard.ReplayPCAPBasic measures the epoch's capture across N receive
+// queues, and its merged sketch lands here before Report ships it to
+// the collector.
 func (a *Agent) Absorb(s *core.Basic[flowkey.FiveTuple]) error {
 	if err := a.sketch.Merge(s); err != nil {
 		return err

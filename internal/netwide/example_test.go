@@ -1,6 +1,7 @@
 package netwide_test
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 
@@ -47,21 +48,20 @@ func Example() {
 	// epoch queryable: true
 }
 
-// ExampleAgent_Absorb scales one vantage point across cores: a
-// shard.Engine ingests the epoch's traffic with 4 workers, and its
-// merged snapshot is absorbed into the agent's epoch sketch. The
-// engine's workers share the agent's Config, so every merge along the
-// way is estimate-preserving.
+// ExampleAgent_Absorb scales one vantage point across cores, as
+// cocoagent -workers 4 does: the epoch's capture is replayed through 4
+// simulated receive queues, and the merged sketch is absorbed into the
+// agent's epoch sketch. The queue sketches share the agent's Config,
+// so every merge along the way is estimate-preserving.
 func ExampleAgent_Absorb() {
 	cfg := core.Config{Arrays: 2, BucketsPerArray: 1024, Seed: 7}
 	agent := netwide.NewAgent(1, cfg)
 
-	tr := trace.CAIDALike(50_000, 7)
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 7}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-
-	merged, err := eng.Snapshot()
+	var capture bytes.Buffer
+	if err := trace.CAIDALike(50_000, 7).WritePCAP(&capture, 64); err != nil {
+		panic(err)
+	}
+	merged, _, err := shard.ReplayPCAPBasic(shard.ReplayConfig{Queues: 4, Seed: 7}, cfg, &capture)
 	if err != nil {
 		panic(err)
 	}

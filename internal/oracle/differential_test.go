@@ -1,12 +1,14 @@
 package oracle
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/shard"
+	"cocosketch/internal/telemetry"
 	"cocosketch/internal/trace"
 )
 
@@ -108,8 +110,26 @@ func TestMetamorphicBatchEqualsSequential(t *testing.T) {
 	}
 }
 
+// replayTrace encodes a trace as a pcap capture and replays it through
+// the given number of receive queues (shard.ReplayPCAPBasic), returning
+// the merged decode table.
+func replayTrace(t *testing.T, tr *trace.Trace, queues int, seed uint64, reg *telemetry.Registry) map[flowkey.FiveTuple]uint64 {
+	t.Helper()
+	var capture bytes.Buffer
+	if err := tr.WritePCAP(&capture, 64); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := shard.ReplayPCAPBasic(shard.ReplayConfig{Queues: queues, Seed: seed, Telemetry: reg},
+		harnessCoreCfg(seed), &capture)
+	if err != nil {
+		t.Fatalf("%s/%d queues: replay: %v", tr.Name, queues, err)
+	}
+	return s.Decode()
+}
+
 // TestMetamorphicShardOneEqualsSequential pins shard-1 ≡ sequential:
-// one worker, same sketch config, identical decode.
+// a 1-queue replay of the trace's capture, same sketch config,
+// identical decode.
 func TestMetamorphicShardOneEqualsSequential(t *testing.T) {
 	for _, reg := range Regimes() {
 		tr := reg.Generate(6000, 0x5A4D)
@@ -117,35 +137,22 @@ func TestMetamorphicShardOneEqualsSequential(t *testing.T) {
 		for i := range tr.Packets {
 			seq.Insert(tr.Packets[i].Key, 1)
 		}
-		eng := shard.NewBasic(shard.Config{Workers: 1, Seed: 3}, harnessCoreCfg(3))
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		got, err := eng.Decode()
-		if err != nil {
-			t.Fatalf("%s: decode: %v", reg.Name, err)
-		}
-		assertSameTable(t, reg.Name, seq.Decode(), got)
+		assertSameTable(t, reg.Name, seq.Decode(), replayTrace(t, tr, 1, 3, nil))
 	}
 }
 
 // TestMetamorphicShardNDecode pins the shard-N ≡ shard-1 relation at
-// the level the engine guarantees: the merged decode conserves the
-// exact stream mass for every worker count, for every partial key
-// (merging is mass-preserving), and the per-key estimates of the
-// merged table stay unbiased — the statistical half is asserted by the
-// coco-sharded row of TestDifferentialMatrix.
+// the level the multi-queue replay guarantees: the merged decode
+// conserves the exact stream mass for every queue count, for every
+// partial key (merging is mass-preserving), and the per-key estimates
+// of the merged table stay unbiased — the statistical half is asserted
+// by the coco-sharded row of TestDifferentialMatrix.
 func TestMetamorphicShardNDecode(t *testing.T) {
 	for _, reg := range Regimes() {
 		tr := reg.Generate(6000, 0x0D0D)
 		o := FromTrace(tr)
-		for _, workers := range []int{1, 2, 4} {
-			eng := shard.NewBasic(shard.Config{Workers: workers, Seed: 9}, harnessCoreCfg(9))
-			eng.Ingest(tr.Packets)
-			eng.Close()
-			table, err := eng.Decode()
-			if err != nil {
-				t.Fatalf("%s/%d: decode: %v", reg.Name, workers, err)
-			}
+		for _, queues := range []int{1, 2, 4} {
+			table := replayTrace(t, tr, queues, 9, nil)
 			for _, m := range Masks() {
 				var mass uint64
 				for k, v := range table {
@@ -153,7 +160,7 @@ func TestMetamorphicShardNDecode(t *testing.T) {
 					mass += v
 				}
 				if mass != o.Total() {
-					t.Fatalf("%s/%d workers: mask %v decode mass %d ≠ exact %d", reg.Name, workers, m, mass, o.Total())
+					t.Fatalf("%s/%d queues: mask %v decode mass %d ≠ exact %d", reg.Name, queues, m, mass, o.Total())
 				}
 			}
 		}

@@ -22,7 +22,7 @@ import (
 type Instance interface {
 	// Insert adds weight w to flow k.
 	Insert(k flowkey.FiveTuple, w uint64)
-	// Close finalizes pending work (batch buffers, shard rings). The
+	// Close finalizes pending work (batch buffers, the sharded replay). The
 	// instance must not be inserted into afterwards.
 	Close()
 	// Table returns the decoded estimate table at the implementation's

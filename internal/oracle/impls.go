@@ -1,6 +1,9 @@
 package oracle
 
 import (
+	"bytes"
+	"time"
+
 	"cocosketch/internal/baselines/countmin"
 	"cocosketch/internal/baselines/countsketch"
 	"cocosketch/internal/baselines/elastic"
@@ -10,6 +13,8 @@ import (
 	"cocosketch/internal/baselines/uss"
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/packet"
+	"cocosketch/internal/pcap"
 	"cocosketch/internal/shard"
 )
 
@@ -157,39 +162,44 @@ func CocoBatchedImpl() Impl {
 	}
 }
 
-// CocoShardedImpl drives the PR-2 multi-core engine: RSS dispatch to
-// shardWorkers basic sketches, merge at decode. Merging conserves mass
-// and preserves unbiasedness (each shard is an independent unbiased
-// sketch of a disjoint substream; the merge collapse rule is the same
-// stochastic argument as insertion).
+// CocoShardedImpl drives the multi-queue ingest path: each key is
+// encoded as an Ethernet frame into an in-memory capture, which
+// pcap.PartitionRSS splits across shardWorkers receive queues and
+// shard.ReplayQueues replays into per-queue basic sketches merged at
+// decode. Merging conserves mass and preserves unbiasedness (each
+// shard is an independent unbiased sketch of a disjoint substream; the
+// merge collapse rule is the same stochastic argument as insertion).
 func CocoShardedImpl() Impl {
 	return Impl{
 		Name: "coco-sharded",
 		New: func(seed uint64) Instance {
-			e := shard.NewBasic(shard.Config{Workers: shardWorkers, Seed: seed}, cocoCfg(seed))
-			buf := make([]flowkey.FiveTuple, 0, batchLen)
-			var table map[flowkey.FiveTuple]uint64
-			flush := func() {
-				if len(buf) > 0 {
-					e.IngestKeys(buf)
-					buf = buf[:0]
-				}
+			var capture bytes.Buffer
+			w, err := pcap.NewWriter(&capture, pcap.LinkTypeEthernet, 64)
+			if err != nil {
+				panic(err)
 			}
+			var frame []byte
+			var table map[flowkey.FiveTuple]uint64
 			return &funcInstance{
 				insert: func(k flowkey.FiveTuple, _ uint64) {
-					buf = append(buf, k)
-					if len(buf) == batchLen {
-						flush()
+					frame = packet.AppendBuild(frame[:0], k, packet.BuildOptions{})
+					if err := w.WritePacket(time.Unix(0, 0), frame, len(frame)); err != nil {
+						panic(err)
 					}
 				},
 				close: func() {
-					flush()
-					e.Close()
-					t, err := e.Decode()
+					if err := w.Flush(); err != nil {
+						panic(err)
+					}
+					qs, err := pcap.PartitionRSS(&capture, shardWorkers, seed)
 					if err != nil {
 						panic(err)
 					}
-					table = t
+					s, _, err := shard.ReplayQueues(shard.ReplayConfig{}, shard.NewBasicFactory(cocoCfg(seed), nil), qs)
+					if err != nil {
+						panic(err)
+					}
+					table = s.Decode()
 				},
 				table: func() map[flowkey.FiveTuple]uint64 { return table },
 			}

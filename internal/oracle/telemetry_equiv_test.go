@@ -5,7 +5,6 @@ import (
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/shard"
 	"cocosketch/internal/telemetry"
 )
 
@@ -63,29 +62,16 @@ func TestMetamorphicTelemetryInvisible(t *testing.T) {
 	}
 }
 
-// TestMetamorphicTelemetryInvisibleSharded extends the invariant to the
-// sharded engine: a fully instrumented engine (registry through
-// shard.Config) must decode bit-identically to an un-instrumented one
-// with the same seeds, for one worker and several.
+// TestMetamorphicTelemetryInvisibleSharded extends the invariant to
+// multi-queue replay: a fully instrumented replay (registry through
+// shard.ReplayConfig) must decode bit-identically to an
+// un-instrumented one with the same seeds, for one queue and several.
 func TestMetamorphicTelemetryInvisibleSharded(t *testing.T) {
 	for _, reg := range Regimes() {
 		tr := reg.Generate(6000, 0x7E2E)
-		for _, workers := range []int{1, 4} {
-			off := shard.NewBasic(shard.Config{Workers: workers, Seed: 5}, harnessCoreCfg(5))
-			off.Ingest(tr.Packets)
-			off.Close()
-			want, err := off.Decode()
-			if err != nil {
-				t.Fatalf("%s/%d: decode: %v", reg.Name, workers, err)
-			}
-
-			on := shard.NewBasic(shard.Config{Workers: workers, Seed: 5, Telemetry: telemetry.New()}, harnessCoreCfg(5))
-			on.Ingest(tr.Packets)
-			on.Close()
-			got, err := on.Decode()
-			if err != nil {
-				t.Fatalf("%s/%d: instrumented decode: %v", reg.Name, workers, err)
-			}
+		for _, queues := range []int{1, 4} {
+			want := replayTrace(t, tr, queues, 5, nil)
+			got := replayTrace(t, tr, queues, 5, telemetry.New())
 			assertSameTable(t, reg.Name+"/sharded", want, got)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cocosketch/internal/flowkey"
 	"cocosketch/internal/trace"
@@ -209,5 +210,28 @@ func BenchmarkPipeline(b *testing.B) {
 				Run(tr, Config{Threads: threads, MemoryBytes: 512 * 1024, WithSketch: true, Seed: 1})
 			}
 		})
+	}
+}
+
+// TestRunRepeatedSpread: RunRepeated honours its run floor, orders its
+// spread, and returns a lossless decode of the last run.
+func TestRunRepeatedSpread(t *testing.T) {
+	tr := trace.CAIDALike(5000, 7)
+	sp, dec := RunRepeated(tr, Config{Threads: 2, MemoryBytes: 64 * 1024, WithSketch: true, Seed: 7}, 3, 0)
+	if sp.Runs != 3 {
+		t.Fatalf("runs = %d, want 3", sp.Runs)
+	}
+	if !(sp.Min <= sp.Median && sp.Median <= sp.Max) || sp.Min <= 0 {
+		t.Fatalf("spread out of order: %+v", sp)
+	}
+	var mass uint64
+	for _, v := range dec {
+		mass += v
+	}
+	if mass != uint64(len(tr.Packets)) {
+		t.Fatalf("decoded mass %d, want %d", mass, len(tr.Packets))
+	}
+	if sp, _ := RunRepeated(tr, Config{}, 0, 20*time.Millisecond); sp.Runs < 1 {
+		t.Fatalf("runs = %d under a time floor, want at least 1", sp.Runs)
 	}
 }

@@ -1,7 +1,9 @@
 package ovs
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +27,8 @@ type Config struct {
 	// DropOnFull makes the datapath drop packets when a ring is full
 	// (NIC-like overload behaviour) instead of spinning losslessly.
 	DropOnFull bool
-	// Seed drives the sketch shards.
+	// Seed drives the RSS split (flowkey.RSSIndex) and the sketch
+	// shards.
 	Seed uint64
 }
 
@@ -52,7 +55,7 @@ func (s Stats) Mpps() float64 {
 
 // Run replays the trace through per-thread Rx queues. As in the
 // paper's deployment, each Rx queue has its own datapath poller: the
-// trace is pre-partitioned by flow-key hash (receive-side scaling), and
+// trace is pre-partitioned by flowkey.RSSIndex (receive-side scaling), and
 // every queue gets a producer goroutine (the PMD thread writing headers
 // into the ring) paired with a measurement goroutine updating a private
 // CocoSketch shard. It returns the run stats and, when WithSketch, the
@@ -69,9 +72,9 @@ func Run(tr *trace.Trace, cfg Config) (Stats, map[flowkey.FiveTuple]uint64) {
 	if ringCap <= 0 {
 		ringCap = 4096
 	}
-	// Receive-side scaling: split flows across queues by key hash.
+	// Receive-side scaling: split flows across queues with the
+	// repository's one RSS function, as pcap.PartitionRSS does.
 	shards := make([][]trace.Packet, threads)
-	shardSeed := uint32(cfg.Seed)
 	if threads == 1 {
 		shards[0] = tr.Packets
 	} else {
@@ -80,7 +83,7 @@ func Run(tr *trace.Trace, cfg Config) (Stats, map[flowkey.FiveTuple]uint64) {
 		}
 		for i := range tr.Packets {
 			p := tr.Packets[i]
-			s := int(uint64(p.Key.Hash(shardSeed)) * uint64(threads) >> 32)
+			s := flowkey.RSSIndex(p.Key, cfg.Seed, threads)
 			shards[s] = append(shards[s], p)
 		}
 	}
@@ -173,6 +176,8 @@ func Run(tr *trace.Trace, cfg Config) (Stats, map[flowkey.FiveTuple]uint64) {
 	if !cfg.WithSketch {
 		return stats, nil
 	}
+	// The RSS split is on the full key, so the shards' key sets are
+	// disjoint and summing their decoded tables is exact.
 	merged := make(map[flowkey.FiveTuple]uint64)
 	for _, sk := range sketches {
 		for k, v := range sk.Decode() {
@@ -180,4 +185,44 @@ func Run(tr *trace.Trace, cfg Config) (Stats, map[flowkey.FiveTuple]uint64) {
 		}
 	}
 	return stats, merged
+}
+
+// Spread summarizes the throughput of repeated runs.
+type Spread struct {
+	// Median, Min and Max are Mpps over the runs.
+	Median, Min, Max float64
+	// Runs is the number of runs.
+	Runs int
+}
+
+// String formats the median with its min–max range.
+func (s Spread) String() string {
+	return fmt.Sprintf("%.2f [%.2f–%.2f]", s.Median, s.Min, s.Max)
+}
+
+// RunRepeated calls Run until at least minRuns runs (at least one)
+// have finished and their timed sections add up to at least minTotal.
+// A single pass over a short trace lasts milliseconds, so its Mpps is
+// timer and scheduler noise; the median over enough runs is not. It
+// returns the Mpps spread and the last run's decode.
+func RunRepeated(tr *trace.Trace, cfg Config, minRuns int, minTotal time.Duration) (Spread, map[flowkey.FiveTuple]uint64) {
+	var (
+		mpps    []float64
+		total   time.Duration
+		decoded map[flowkey.FiveTuple]uint64
+	)
+	for len(mpps) < max(minRuns, 1) || total < minTotal {
+		st, dec := Run(tr, cfg)
+		mpps = append(mpps, st.Mpps())
+		total += st.Elapsed
+		decoded = dec
+	}
+	sort.Float64s(mpps)
+	n := len(mpps)
+	return Spread{
+		Median: (mpps[(n-1)/2] + mpps[n/2]) / 2,
+		Min:    mpps[0],
+		Max:    mpps[n-1],
+		Runs:   n,
+	}, decoded
 }

@@ -34,12 +34,11 @@ func (q *Queue) Bytes() int { return len(q.data) }
 // PartitionRSS splits an Ethernet pcap stream into queues receive
 // queues, the way a NIC's receive-side scaling spreads flows across
 // hardware queues: every record is steered by flowkey.RSSIndex over
-// its decoded 5-tuple — the same function the shard dispatcher uses,
-// so queue i holds exactly the packets a shard.Engine with Workers ==
-// queues and the same seed would route to worker i, in the same
-// order. Frames the decoder rejects (non-IP, truncated) steer to
-// queue 0, mirroring how FromPCAP-based replay skips them at the
-// consumer. Timestamps are re-encoded at microsecond resolution (the
+// its decoded 5-tuple, so queue i holds exactly the packets of the
+// capture whose key RSSIndex maps to i (for the same seed and queue
+// count), in capture order. shard.ReplayQueues replays the queues,
+// one goroutine each. Frames the decoder rejects (non-IP, truncated)
+// steer to queue 0, where the replay counts and skips them. Timestamps are re-encoded at microsecond resolution (the
 // classic-writer format); key extraction and replay order are
 // unaffected.
 //

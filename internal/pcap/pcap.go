@@ -161,6 +161,9 @@ func (r *Reader) ReadInto(dst []byte) (Header, int, error) {
 type Writer struct {
 	w       *bufio.Writer
 	snapLen uint32
+	// rec is the record-header scratch; a stack array would escape
+	// through bufio's Write and cost one allocation per record.
+	rec [16]byte
 }
 
 // NewWriter creates a writer and emits the global header.
@@ -189,7 +192,7 @@ func (w *Writer) WritePacket(ts time.Time, data []byte, originalLen int) error {
 	if originalLen < len(data) {
 		originalLen = len(data)
 	}
-	var rec [16]byte
+	rec := &w.rec
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(ts.Unix()))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(ts.Nanosecond()/1000))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(capLen))

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"bytes"
 	"fmt"
 
 	"cocosketch/internal/core"
@@ -9,49 +10,25 @@ import (
 	"cocosketch/internal/trace"
 )
 
-// Example runs the full engine lifecycle: construct, ingest a trace,
-// close, and decode the merged full-key table. The merged counter mass
-// equals the packet count — dispatch, rings and decode-time merging
-// are lossless.
+// Example replays a capture through four simulated receive queues and
+// decodes the merged full-key table. The merged counter mass equals
+// the packet count — the RSS split, the per-queue replay and the
+// decode-time merge are lossless.
 func Example() {
 	tr := trace.CAIDALike(100_000, 1)
+	var capture bytes.Buffer
+	if err := tr.WritePCAP(&capture, 64); err != nil {
+		panic(err)
+	}
 
 	sketchCfg := core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 1)
-	eng := shard.NewBasic(shard.Config{Workers: 4, Seed: 1}, sketchCfg)
-
-	eng.Ingest(tr.Packets)
-	eng.Close()
-
-	merged, err := eng.Snapshot()
+	merged, st, err := shard.ReplayPCAPBasic(shard.ReplayConfig{Queues: 4, Seed: 1}, sketchCfg, &capture)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("workers:", eng.Workers())
+	fmt.Println("queues:", st.Queues)
 	fmt.Println("mass equals packets:", merged.SumValues() == uint64(len(tr.Packets)))
 	// Output:
-	// workers: 4
+	// queues: 4
 	// mass equals packets: true
-}
-
-// ExampleEngine_Snapshot reads a consistent point-in-time view while
-// the engine stays open for further ingest.
-func ExampleEngine_Snapshot() {
-	tr := trace.CAIDALike(50_000, 2)
-	eng := shard.NewBasic(shard.Config{Workers: 2, Seed: 2},
-		core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 2))
-
-	eng.Ingest(tr.Packets[:25_000])
-	if _, err := eng.Snapshot(); err != nil { // live read; ingest continues after
-		panic(err)
-	}
-	eng.Ingest(tr.Packets[25_000:])
-	eng.Close()
-
-	final, err := eng.Snapshot()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("final mass:", final.SumValues())
-	// Output:
-	// final mass: 50000
 }

@@ -12,8 +12,8 @@ import (
 	"cocosketch/internal/telemetry"
 )
 
-// This file is the run-to-completion replay path: the Engine's
-// per-worker sketches fed straight from raw pcap streams, the way an
+// This file is the run-to-completion replay path: per-queue sketches
+// fed straight from raw pcap streams, the way an
 // OVS-DPDK PMD thread polls its receive queue and takes each packet to
 // the end (paper §6.1). Each simulated receive queue is one goroutine
 // that reads a record as a view into its pcap.Reader's buffer, extracts
@@ -33,12 +33,12 @@ type ReplayConfig struct {
 	// from their SlotCap-byte prefix, NIC snapshot-length style, and
 	// counted in ReplayStats.Truncated.
 	SlotCap int
-	// Seed drives the RSS split when a stream is partitioned into
-	// queues; it must match the shard Engine seed being compared
-	// against for bit-identical replays.
+	// Seed drives the RSS split (flowkey.RSSIndex) when ReplayPCAP
+	// partitions a stream into queues; replays with equal Seed and
+	// Queues split a stream identically.
 	Seed uint64
 	// Bytes weights each packet by its original wire length instead of
-	// counting packets, mirroring Config.Bytes.
+	// counting packets.
 	Bytes bool
 	// Telemetry, when non-nil, receives the replay's burst-level
 	// metrics (the "ingest." names in DESIGN.md §11).
@@ -178,9 +178,8 @@ func normalizeReplay(cfg ReplayConfig) ReplayConfig {
 }
 
 // replayReaders runs one goroutine per reader to the end of its stream
-// and merges the per-queue sketches (newSketch follows the New
-// contract: indices 0..len(readers)-1 build queue sketches, index
-// len(readers) builds the merge target).
+// and merges the per-queue sketches (newSketch follows the
+// ReplayQueues contract).
 func replayReaders[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, readers []*pcap.Reader) (S, ReplayStats, error) {
 	loops := make([]*queueLoop[S], len(readers))
 	for i, r := range readers {
@@ -221,12 +220,16 @@ func replayReaders[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, reade
 }
 
 // ReplayQueues replays pre-partitioned receive queues, one goroutine
-// per queue, and merges the per-queue sketches into one (newSketch
-// follows the New contract: indices 0..len(queues)-1 build queue
-// sketches, index len(queues) builds the merge target). Use
-// pcap.PartitionRSS with the same seed and queue count as a comparison
-// Engine to get bit-identical sketch state — queue i's packets are
-// exactly worker i's packets.
+// per queue, and merges the per-queue sketches into one. newSketch is
+// called with indices 0..len(queues)-1 for the queue sketches and once
+// more with index len(queues) for the merge target; all returned
+// sketches must be merge-compatible (same geometry and hash seeds —
+// in core terms, built from one Config). Queue 0's sketch must start
+// in the state a sequential sketch would if the 1-queue replay is to
+// reproduce the sequential path exactly (NewBasicFactory arranges
+// this by reseeding only indices > 0). Queues come from
+// pcap.PartitionRSS, so queue i holds the packets flowkey.RSSIndex
+// steers to i, in capture order.
 func ReplayQueues[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, queues []*pcap.Queue) (S, ReplayStats, error) {
 	cfg.Queues = len(queues)
 	cfg = normalizeReplay(cfg)
@@ -271,9 +274,9 @@ func ReplayPCAP[S Sketch[S]](cfg ReplayConfig, newSketch func(i int) S, r io.Rea
 }
 
 // ReplayPCAPBasic is ReplayPCAP specialized to basic CocoSketch
-// workers, with the same per-queue seeding and shared telemetry scheme
-// as NewBasic — so an N-queue replay reproduces an N-worker Engine's
-// merged sketch bit for bit when seeds match.
+// queues built by NewBasicFactory, with cfg.Telemetry as the shared
+// sketch-outcome registry. It is the ingest path cocoagent runs each
+// epoch.
 func ReplayPCAPBasic(cfg ReplayConfig, sketchCfg core.Config, r io.Reader) (*core.Basic[flowkey.FiveTuple], ReplayStats, error) {
 	return ReplayPCAP(cfg, NewBasicFactory(sketchCfg, cfg.Telemetry), r)
 }

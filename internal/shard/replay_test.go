@@ -89,22 +89,19 @@ func TestReplayOneQueueMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplayQueuesMatchesEngine pins the multi-queue half: an N-queue
-// replay of an RSS-partitioned capture reproduces an N-worker
-// Engine's merged sketch bit for bit — same seed, same split, same
-// per-worker insert order.
-func TestReplayQueuesMatchesEngine(t *testing.T) {
+// TestReplayQueuesMatchesSequentialShards pins the multi-queue half:
+// an N-queue replay of an RSS-partitioned capture reproduces the
+// sequential N-shard reference bit for bit — same seed, same split,
+// same per-queue insert order, same merge order.
+func TestReplayQueuesMatchesSequentialShards(t *testing.T) {
 	const queues = 4
 	tr, data := replayCapture(t, 20000, 256)
 	sketchCfg := replaySketchCfg()
-
-	eng := NewBasic(Config{Workers: queues, Seed: 7}, sketchCfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	want, err := eng.Decode()
-	if err != nil {
-		t.Fatal(err)
+	keys := make([]flowkey.FiveTuple, len(tr.Packets))
+	for i := range tr.Packets {
+		keys[i] = tr.Packets[i].Key
 	}
+	want := shardReference(keys, sketchCfg, 7, queues).Decode()
 
 	merged, st, err := ReplayPCAPBasic(
 		ReplayConfig{Queues: queues, Seed: 7},

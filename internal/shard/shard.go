@@ -1,52 +1,32 @@
-// Package shard provides the multi-core ingest engine: N workers, each
-// owning a private CocoSketch behind a single-producer single-consumer
-// ring, fed by one dispatcher that splits traffic with receive-side
-// scaling on the full key. Decode-time merging (core.Merge) folds the
-// per-worker sketches back into one, so queries see the whole stream —
-// the paper's OVS scaling architecture (§6.1: one sketch per dataplane
-// thread, merged at decode) as a reusable engine.
+// Package shard provides multi-core ingest: N simulated receive
+// queues, each replayed by one goroutine into a private CocoSketch,
+// with decode-time merging (core.Merge) folding the per-queue sketches
+// back into one so queries see the whole stream — the paper's OVS
+// scaling architecture (§6.1: one sketch per dataplane thread, merged
+// at decode).
 //
-// The moving parts are all pieces that exist elsewhere in the
-// repository — core.Merge, the cached-index SPSC ring of package ovs,
-// and the batched insert path core.InsertBatch — composed behind one
-// lifecycle:
+//	pcap stream ──PartitionRSS──▶ queue 0 … queue N-1   (setup, untimed)
+//	queue i (1 goroutine): read view → ExtractFiveTuple → InsertBatch
+//	                       into a private core.Basic
+//	end of stream: merge the N queue sketches into one (core.Merge)
 //
-//	engine ingest (1 goroutine)            worker w (N goroutines)
-//	┌───────────────────────────┐          ┌──────────────────────────┐
-//	│ HashSeeds(key) → worker   │  ring w  │ TryPopN (64-packet burst)│
-//	│ 64-packet burst buffers   │ ───────▶ │ InsertBatch into private │
-//	│ TryPushN on full burst    │   SPSC   │ core.Basic / Hardware    │
-//	└───────────────────────────┘          └──────────────────────────┘
-//	            Decode/Query/Snapshot: merge N sketches (core.Merge)
-//
-// Determinism: every worker consumes its ring in FIFO order, so the
-// packet subsequence a worker sees — and therefore its sketch state —
-// is a pure function of the input order and the RSS split. With one
-// worker the engine reproduces the sequential sketch bit for bit
-// (tested in shard_test.go).
-//
-// Concurrency contract: Ingest/Flush/Close must be called from one
-// goroutine (the dispatcher side of the SPSC rings); Snapshot, Decode,
-// Query and Stats may be called from any goroutine at any time.
+// Determinism: every queue replays its records in capture order, and
+// the RSS split (flowkey.RSSIndex) is a pure function of the key and
+// the seed, so each queue sketch — and the merged result — is a pure
+// function of the capture, the seed and the queue count. With one
+// queue the replay reproduces the sequential sketch bit for bit
+// (tested in replay_test.go).
 package shard
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
-	"cocosketch/internal/ovs"
 	"cocosketch/internal/telemetry"
-	"cocosketch/internal/trace"
 )
 
-// Sketch is the contract a per-worker sketch must satisfy: batched
-// inserts for the ring drain path, point queries and full decode for
-// the control plane, and Merge so N worker sketches fold into one at
+// Sketch is the contract a per-queue sketch must satisfy: batched
+// inserts for the replay loop, point queries and full decode for the
+// control plane, and Merge so N queue sketches fold into one at
 // decode time. Both core variants satisfy it (S is the sketch's own
 // pointer type, e.g. *core.Basic[flowkey.FiveTuple]).
 type Sketch[S any] interface {
@@ -58,197 +38,22 @@ type Sketch[S any] interface {
 	Merge(other S) error
 }
 
-// Config parameterizes an Engine.
-type Config struct {
-	// Workers is the number of worker/sketch pairs (N). Defaults to
-	// GOMAXPROCS; throughput scales with physical cores.
-	Workers int
-	// RingCapacity is the per-worker SPSC ring size (default 4096, the
-	// DPDK default, rounded up to a power of two by ovs.NewRing).
-	RingCapacity int
-	// Burst is the dispatch and drain burst size (default 64, the DPDK
-	// rx_burst convention used throughout the repository).
-	Burst int
-	// Seed drives the receive-side-scaling hash. Engines with equal
-	// Seed and Workers split a stream identically.
-	Seed uint64
-	// DropOnFull makes the dispatcher drop the tail of a burst when a
-	// worker's ring is full (NIC-like overload) instead of spinning
-	// until space frees up. Dropped packets are counted in Stats.
-	DropOnFull bool
-	// Bytes weights each packet by its wire size instead of counting
-	// packets, matching the Bytes switch of the experiment harness.
-	Bytes bool
-	// Telemetry, when non-nil, receives the engine's runtime metrics
-	// (see the "shard." names in DESIGN.md §11). All instrumentation
-	// is burst-level — one atomic per 64-packet burst, never one per
-	// packet — and compiles to nil-checks when Telemetry is nil.
-	Telemetry *telemetry.Registry
-}
-
-// DefaultRingCapacity is the per-worker ring size when Config leaves
-// RingCapacity zero.
-const DefaultRingCapacity = 4096
-
-// DefaultBurst is the dispatch/drain burst when Config leaves Burst
-// zero: 64 packets, the repository-wide DPDK-style burst size.
+// DefaultBurst is the replay burst: 64 packets, the repository-wide
+// DPDK-style rx_burst size.
 const DefaultBurst = 64
 
-// Stats is a point-in-time view of engine progress. Counters are
-// monotone; Consumed trails Dispatched by what is still queued in
-// rings and burst buffers.
-type Stats struct {
-	// Workers is N, the worker/sketch pair count.
-	Workers int
-	// Dispatched counts packets accepted by Ingest (including packets
-	// still buffered or queued).
-	Dispatched uint64
-	// Dropped counts packets discarded at full rings (DropOnFull only).
-	Dropped uint64
-	// Consumed counts packets the workers have inserted into their
-	// sketches.
-	Consumed uint64
-}
-
-// pauseReq is one snapshot barrier: every worker checks in between
-// bursts (arrived), parks until the coordinator finishes merging
-// (release), then resumes. Workers compare pointers to process each
-// barrier exactly once.
-type pauseReq struct {
-	arrived sync.WaitGroup
-	release chan struct{}
-}
-
-// engineTel groups the engine's telemetry instruments. Every field is
-// nil when Config.Telemetry is nil, which turns each record call into
-// a predictable nil-check (see package telemetry).
-type engineTel struct {
-	// dispatched/dropped/consumed mirror Stats as live counters.
-	dispatched *telemetry.Counter
-	dropped    *telemetry.Counter
-	consumed   *telemetry.Counter
-	// pushFail counts TryPushN attempts that could not place a full
-	// burst (the ring was full and the dispatcher had to spin or drop).
-	pushFail *telemetry.Counter
-	// batchSize is the distribution of drain-burst sizes popped by the
-	// workers — small bursts mean the workers are outrunning ingest.
-	batchSize *telemetry.Histogram
-	// snapshotWaitNs and mergeNs split Snapshot latency into the
-	// barrier wait and the sketch merge; decodeNs covers full Decode
-	// calls (snapshot + table build).
-	snapshotWaitNs *telemetry.Histogram
-	mergeNs        *telemetry.Histogram
-	decodeNs       *telemetry.Histogram
-}
-
-// newEngineTel registers the engine metrics (no-ops on nil registry).
-func newEngineTel(r *telemetry.Registry) engineTel {
-	return engineTel{
-		dispatched:     r.Counter("shard.dispatched"),
-		dropped:        r.Counter("shard.ring_drops"),
-		consumed:       r.Counter("shard.consumed"),
-		pushFail:       r.Counter("shard.ring_push_fail"),
-		batchSize:      r.Histogram("shard.batch_size"),
-		snapshotWaitNs: r.Histogram("shard.snapshot_wait_ns"),
-		mergeNs:        r.Histogram("shard.merge_ns"),
-		decodeNs:       r.Histogram("shard.decode_ns"),
-	}
-}
-
-// worker is one consumer: a ring, a private sketch, and its progress
-// counter, plus its per-shard telemetry (ring occupancy sampled at
-// dispatch, drops charged to this shard).
-type worker[S Sketch[S]] struct {
-	ring      *ovs.Ring
-	sketch    S
-	consumed  atomic.Uint64
-	lastPause *pauseReq
-	telOcc    *telemetry.Gauge
-	telDrops  *telemetry.Counter
-}
-
-// Engine is the sharded ingest engine. Construct with New (or the
-// NewBasic/NewHardware convenience constructors), feed packets with
-// Ingest, and read results with Decode/Query/Snapshot — live via the
-// snapshot barrier, or after Close for the final state.
-type Engine[S Sketch[S]] struct {
-	cfg       Config
-	newSketch func(i int) S
-	workers   []*worker[S]
-	wg        sync.WaitGroup
-
-	// Dispatcher-side state (single goroutine; see package contract).
-	burst [][]trace.Packet
-	// dispatched/dropped are written by the dispatcher only but read
-	// by Stats from any goroutine, hence atomic.
-	dispatched atomic.Uint64
-	dropped    atomic.Uint64
-
-	// pause publishes the current snapshot barrier to the workers.
-	pause atomic.Pointer[pauseReq]
-
-	// tel holds the engine's telemetry instruments (all nil-safe).
-	tel engineTel
-
-	// mu serializes the control plane: Snapshot/Decode/Query/Close.
-	mu     sync.Mutex
-	closed bool
-}
-
-// New builds an engine whose per-worker sketches come from newSketch.
-// newSketch is called with worker indices 0..Workers-1 and, for every
-// decode, once more with index Workers to create the merge target; all
-// returned sketches must be merge-compatible (same geometry and hash
-// seeds — in core terms, built from one Config). Workers start
-// immediately.
-//
-// Worker 0's sketch must be in the same state a sequential sketch
-// would start in if the 1-worker engine is to reproduce the sequential
-// path exactly (NewBasic arranges this by reseeding only workers > 0).
-func New[S Sketch[S]](cfg Config, newSketch func(i int) S) *Engine[S] {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.RingCapacity <= 0 {
-		cfg.RingCapacity = DefaultRingCapacity
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = DefaultBurst
-	}
-	e := &Engine[S]{
-		cfg:       cfg,
-		newSketch: newSketch,
-		burst:     make([][]trace.Packet, cfg.Workers),
-		tel:       newEngineTel(cfg.Telemetry),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		w := &worker[S]{
-			ring:     ovs.NewRing(cfg.RingCapacity),
-			sketch:   newSketch(i),
-			telOcc:   cfg.Telemetry.Gauge(fmt.Sprintf("shard.ring_occupancy.w%d", i)),
-			telDrops: cfg.Telemetry.Counter(fmt.Sprintf("shard.ring_drops.w%d", i)),
-		}
-		e.workers = append(e.workers, w)
-		e.burst[i] = make([]trace.Packet, 0, cfg.Burst)
-	}
-	e.wg.Add(cfg.Workers)
-	for _, w := range e.workers {
-		go e.runWorker(w)
-	}
-	return e
-}
-
-// rngSalt decorrelates per-worker replacement draws; index 0 maps to
-// zero so worker 0 keeps the sequential RNG sequence.
+// rngSalt decorrelates per-queue replacement draws; index 0 maps to
+// zero so queue 0 keeps the sequential RNG sequence.
 func rngSalt(i int) uint64 { return uint64(i) * 0x9e3779b97f4a7c15 }
 
-// NewBasicFactory returns the per-worker sketch constructor that
-// NewBasic and ReplayPCAPBasic share: worker 0 keeps the sequential
-// sketch state, workers > 0 get decorrelated replacement RNGs, and all
-// workers flush update outcomes into one shared "core."-prefixed
-// telemetry group (no-op on a nil registry). Exported so external
-// replay drivers (experiments, benchmarks) can build sketch sets that
-// merge bit-identically with an engine's.
+// NewBasicFactory returns the per-queue sketch constructor that
+// ReplayPCAPBasic uses: queue 0 keeps the sequential sketch state,
+// queues > 0 get decorrelated replacement RNGs, and all queues flush
+// update outcomes into one shared "core."-prefixed telemetry group
+// (no-op on a nil registry). Sharing one core.Config keeps the queue
+// sketches merge-compatible. Exported so external replay drivers
+// (experiments, benchmarks) build sketch sets that merge
+// bit-identically with ReplayPCAPBasic's.
 func NewBasicFactory(sketchCfg core.Config, reg *telemetry.Registry) func(i int) *core.Basic[flowkey.FiveTuple] {
 	m := telemetry.NewSketchMetrics(reg, "core")
 	return func(i int) *core.Basic[flowkey.FiveTuple] {
@@ -258,259 +63,4 @@ func NewBasicFactory(sketchCfg core.Config, reg *telemetry.Registry) func(i int)
 		}
 		return s.SetTelemetry(m)
 	}
-}
-
-// NewBasic builds an engine of basic (software, §4.1) CocoSketch
-// workers sharing sketchCfg. Sharing one core.Config keeps the workers
-// merge-compatible; each worker i > 0 gets its replacement RNG
-// reseeded so shards do not replay identical draw sequences. With
-// Config.Telemetry set, all worker sketches flush their update
-// outcomes into one shared "core."-prefixed counter group.
-func NewBasic(cfg Config, sketchCfg core.Config) *Engine[*core.Basic[flowkey.FiveTuple]] {
-	return New(cfg, NewBasicFactory(sketchCfg, cfg.Telemetry))
-}
-
-// NewHardware builds an engine of hardware-friendly (§4.2) CocoSketch
-// workers sharing sketchCfg; see NewBasic for the seeding and
-// telemetry scheme.
-func NewHardware(cfg Config, sketchCfg core.Config) *Engine[*core.Hardware[flowkey.FiveTuple]] {
-	m := telemetry.NewSketchMetrics(cfg.Telemetry, "core")
-	return New(cfg, func(i int) *core.Hardware[flowkey.FiveTuple] {
-		s := core.NewHardware[flowkey.FiveTuple](sketchCfg)
-		if i > 0 {
-			s.Reseed(sketchCfg.Seed ^ rngSalt(i))
-		}
-		return s.SetTelemetry(m)
-	})
-}
-
-// Workers returns N.
-func (e *Engine[S]) Workers() int { return e.cfg.Workers }
-
-// runWorker drains one ring in bursts into the worker's private
-// sketch, honouring snapshot barriers between bursts.
-func (e *Engine[S]) runWorker(w *worker[S]) {
-	defer e.wg.Done()
-	buf := make([]trace.Packet, e.cfg.Burst)
-	keys := make([]flowkey.FiveTuple, e.cfg.Burst)
-	var ws []uint64
-	if e.cfg.Bytes {
-		ws = make([]uint64, e.cfg.Burst)
-	}
-	for {
-		if req := e.pause.Load(); req != nil && req != w.lastPause {
-			w.lastPause = req
-			req.arrived.Done()
-			<-req.release
-		}
-		n := w.ring.TryPopN(buf)
-		if n == 0 {
-			if w.ring.Closed() {
-				// Close is published after the final push; one more
-				// poll drains a push that raced the empty check.
-				if n = w.ring.TryPopN(buf); n == 0 {
-					return
-				}
-			} else {
-				runtime.Gosched()
-				continue
-			}
-		}
-		for j := 0; j < n; j++ {
-			keys[j] = buf[j].Key
-		}
-		if e.cfg.Bytes {
-			for j := 0; j < n; j++ {
-				ws[j] = uint64(buf[j].Size)
-			}
-			w.sketch.InsertBatch(keys[:n], ws[:n])
-		} else {
-			w.sketch.InsertBatchUnit(keys[:n])
-		}
-		w.consumed.Add(uint64(n))
-		e.tel.batchSize.Observe(uint64(n))
-		e.tel.consumed.Add(uint64(n))
-	}
-}
-
-// workerFor maps a key to its worker with the canonical RSS split
-// (flowkey.RSSIndex) — the same function the simulated multi-queue
-// pcap replay partitions traces with, so a pre-partitioned queue i
-// holds exactly the packets this dispatcher would route to worker i.
-func (e *Engine[S]) workerFor(key flowkey.FiveTuple) int {
-	return flowkey.RSSIndex(key, e.cfg.Seed, e.cfg.Workers)
-}
-
-// Ingest dispatches packets to the workers: each packet is RSS-hashed
-// to its worker and appended to that worker's burst buffer, which is
-// pushed into the ring as one TryPushN when full. Call Flush (or
-// Close) to push out partial bursts. Single-goroutine only.
-func (e *Engine[S]) Ingest(ps []trace.Packet) {
-	for i := range ps {
-		w := e.workerFor(ps[i].Key)
-		e.burst[w] = append(e.burst[w], ps[i])
-		if len(e.burst[w]) == e.cfg.Burst {
-			e.flushWorker(w)
-		}
-	}
-	e.dispatched.Add(uint64(len(ps)))
-	e.tel.dispatched.Add(uint64(len(ps)))
-}
-
-// IngestKeys dispatches bare keys with unit weight — the convenient
-// form when the caller has no trace.Packet records.
-func (e *Engine[S]) IngestKeys(keys []flowkey.FiveTuple) {
-	for _, k := range keys {
-		w := e.workerFor(k)
-		e.burst[w] = append(e.burst[w], trace.Packet{Key: k})
-		if len(e.burst[w]) == e.cfg.Burst {
-			e.flushWorker(w)
-		}
-	}
-	e.dispatched.Add(uint64(len(keys)))
-	e.tel.dispatched.Add(uint64(len(keys)))
-}
-
-// flushWorker pushes worker w's pending burst into its ring, spinning
-// (or dropping, per DropOnFull) while the ring is full. With telemetry
-// on, each flush samples the ring's occupancy and counts push attempts
-// that could not place the whole remaining burst.
-func (e *Engine[S]) flushWorker(w int) {
-	b := e.burst[w]
-	wk := e.workers[w]
-	ring := wk.ring
-	if wk.telOcc != nil {
-		wk.telOcc.Set(int64(ring.Len()))
-	}
-	for off := 0; off < len(b); {
-		n := ring.TryPushN(b[off:])
-		off += n
-		if off < len(b) {
-			e.tel.pushFail.Inc()
-			if e.cfg.DropOnFull {
-				dropped := uint64(len(b) - off)
-				e.dropped.Add(dropped)
-				e.tel.dropped.Add(dropped)
-				wk.telDrops.Add(dropped)
-				break
-			}
-			runtime.Gosched()
-		}
-	}
-	e.burst[w] = b[:0]
-}
-
-// Flush pushes all partial bursts into the rings. Ingest keeps working
-// after a Flush; call it before a Snapshot that must observe every
-// packet ingested so far (once the workers drain their rings).
-func (e *Engine[S]) Flush() {
-	for w := range e.burst {
-		if len(e.burst[w]) > 0 {
-			e.flushWorker(w)
-		}
-	}
-}
-
-// Close flushes pending bursts, closes the rings, and waits for the
-// workers to drain and exit. Idempotent. After Close, Decode/Query/
-// Snapshot read the final merged state. Like Ingest, Close belongs to
-// the dispatcher goroutine.
-func (e *Engine[S]) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.Flush()
-	for _, w := range e.workers {
-		w.ring.Close()
-	}
-	e.wg.Wait()
-	e.closed = true
-}
-
-// mergeWorkers folds every worker sketch into a fresh merge target.
-// Callers must hold e.mu and guarantee the workers are quiescent
-// (parked at a barrier, or exited after Close).
-func (e *Engine[S]) mergeWorkers() (S, error) {
-	target := e.newSketch(e.cfg.Workers)
-	for i, w := range e.workers {
-		if err := target.Merge(w.sketch); err != nil {
-			return target, fmt.Errorf("shard: merging worker %d: %w", i, err)
-		}
-	}
-	return target, nil
-}
-
-// Snapshot returns a consistent point-in-time merge of the per-worker
-// sketches without stopping ingest: all workers park at their next
-// burst boundary, the sketches are merged into a fresh sketch, and the
-// workers resume. The caller owns the returned sketch. Packets still
-// queued in rings or burst buffers are not yet part of the snapshot
-// (they have not been "measured"); call Flush first and allow a drain
-// if completeness up to a known point matters more than immediacy.
-//
-// The pause is one merge long (O(sketch memory), microseconds at
-// typical sizes); the dispatcher keeps pushing into the rings
-// meanwhile, so ingest stalls only if a ring fills during the pause.
-func (e *Engine[S]) Snapshot() (S, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return e.timedMerge()
-	}
-	start := time.Now()
-	req := &pauseReq{release: make(chan struct{})}
-	req.arrived.Add(len(e.workers))
-	e.pause.Store(req)
-	req.arrived.Wait()
-	e.tel.snapshotWaitNs.Observe(uint64(time.Since(start).Nanoseconds()))
-	defer close(req.release)
-	return e.timedMerge()
-}
-
-// timedMerge wraps mergeWorkers with the merge-latency histogram.
-func (e *Engine[S]) timedMerge() (S, error) {
-	start := time.Now()
-	s, err := e.mergeWorkers()
-	e.tel.mergeNs.Observe(uint64(time.Since(start).Nanoseconds()))
-	return s, err
-}
-
-// Decode returns the merged full-key table across all workers — the
-// control plane's Step 3 over the whole engine. Live engines pay one
-// snapshot barrier; closed engines read the final state directly.
-func (e *Engine[S]) Decode() (map[flowkey.FiveTuple]uint64, error) {
-	start := time.Now()
-	s, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	out := s.Decode()
-	e.tel.decodeNs.Observe(uint64(time.Since(start).Nanoseconds()))
-	return out, nil
-}
-
-// Query estimates one full-key flow across all workers. It snapshots
-// internally; batch control-plane reads should Snapshot once and query
-// the returned sketch.
-func (e *Engine[S]) Query(key flowkey.FiveTuple) (uint64, error) {
-	s, err := e.Snapshot()
-	if err != nil {
-		return 0, err
-	}
-	return s.Query(key), nil
-}
-
-// Stats reports progress counters. Safe to call from any goroutine.
-func (e *Engine[S]) Stats() Stats {
-	st := Stats{
-		Workers:    e.cfg.Workers,
-		Dispatched: e.dispatched.Load(),
-		Dropped:    e.dropped.Load(),
-	}
-	for _, w := range e.workers {
-		st.Consumed += w.consumed.Load()
-	}
-	return st
 }

@@ -1,110 +1,115 @@
 package shard
 
 import (
+	"bytes"
 	"math"
-	"runtime"
-	"sync"
 	"testing"
 
 	"cocosketch/internal/core"
 	"cocosketch/internal/flowkey"
+	"cocosketch/internal/pcap"
 	"cocosketch/internal/trace"
 )
-
-func testTrace(n int, seed uint64) *trace.Trace {
-	return trace.CAIDALike(n, seed)
-}
 
 func sketchCfg(seed uint64) core.Config {
 	return core.Config{Arrays: 2, BucketsPerArray: 512, Seed: seed}
 }
 
-// TestOneWorkerMatchesSequential pins the determinism claim: the
-// 1-worker engine must produce bit-identical decode output to feeding
-// the same packets through a single sequential sketch.
+// encode writes a trace as an in-memory pcap capture.
+func encode(t testing.TB, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WritePCAP(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// shardReference is the sequential N-shard reference the multi-queue
+// replay must reproduce: split the keys with flowkey.RSSIndex, insert
+// each split in order into its own NewBasicFactory sketch, and merge
+// the shards in queue order into the factory's merge target.
+func shardReference(keys []flowkey.FiveTuple, cfg core.Config, seed uint64, n int) *core.Basic[flowkey.FiveTuple] {
+	factory := NewBasicFactory(cfg, nil)
+	splits := make([][]flowkey.FiveTuple, n)
+	for _, k := range keys {
+		q := flowkey.RSSIndex(k, seed, n)
+		splits[q] = append(splits[q], k)
+	}
+	merged := factory(n)
+	for i, split := range splits {
+		s := factory(i)
+		s.InsertBatchUnit(split)
+		if err := merged.Merge(s); err != nil {
+			panic(err)
+		}
+	}
+	return merged
+}
+
+// TestOneWorkerMatchesSequential pins the determinism claim: a 1-queue
+// replay must produce the bit-identical decode output of feeding the
+// same packets one at a time through a single sequential sketch.
 func TestOneWorkerMatchesSequential(t *testing.T) {
-	tr := testTrace(60_000, 3)
+	tr := trace.CAIDALike(60_000, 3)
 	cfg := sketchCfg(7)
 
 	seq := core.NewBasic[flowkey.FiveTuple](cfg)
 	for i := range tr.Packets {
 		seq.Insert(tr.Packets[i].Key, 1)
 	}
-
-	eng := NewBasic(Config{Workers: 1, Seed: 3}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	got, err := eng.Decode()
+	got, _, err := ReplayPCAPBasic(ReplayConfig{Queues: 1, Seed: 3}, cfg, bytes.NewReader(encode(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want := seq.Decode()
-	if len(got) != len(want) {
-		t.Fatalf("decode size %d, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("flow %v: sharded %d, sequential %d", k, got[k], v)
-		}
-	}
+	diffTables(t, got.Decode(), seq.Decode())
 }
 
 // TestOneWorkerMatchesSequentialBytes repeats the determinism check in
-// byte-count mode (InsertBatch with per-packet weights).
+// byte-count mode (InsertBatch with per-packet wire lengths).
 func TestOneWorkerMatchesSequentialBytes(t *testing.T) {
-	tr := testTrace(30_000, 5)
+	tr := trace.CAIDALike(30_000, 5)
 	cfg := sketchCfg(9)
-
-	seq := core.NewBasic[flowkey.FiveTuple](cfg)
-	for i := range tr.Packets {
-		seq.Insert(tr.Packets[i].Key, uint64(tr.Packets[i].Size))
-	}
-
-	eng := NewBasic(Config{Workers: 1, Seed: 5, Bytes: true}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	got, err := eng.Decode()
+	data := encode(t, tr)
+	wire, err := trace.FromPCAP(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := seq.Decode()
-	if len(got) != len(want) {
-		t.Fatalf("decode size %d, want %d", len(got), len(want))
+
+	seq := core.NewBasic[flowkey.FiveTuple](cfg)
+	for i := range wire.Packets {
+		seq.Insert(wire.Packets[i].Key, uint64(wire.Packets[i].Size))
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("flow %v: sharded %d, sequential %d", k, got[k], v)
-		}
+	got, _, err := ReplayPCAPBasic(ReplayConfig{Queues: 1, Seed: 5, Bytes: true}, cfg, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
 	}
+	diffTables(t, got.Decode(), seq.Decode())
 }
 
-// TestConservationAcrossWorkers: with lossless ingest the merged
-// counter mass must equal the packet count for every worker count —
-// no packet is lost or double-counted by dispatch, rings, or merge.
+// TestConservationAcrossWorkers: the merged counter mass must equal
+// the packet count for every queue count — no packet is lost or
+// double-counted by the RSS split, the replay or the merge.
 func TestConservationAcrossWorkers(t *testing.T) {
-	tr := testTrace(50_000, 11)
-	for _, workers := range []int{1, 2, 3, 4, 7} {
-		eng := NewBasic(Config{Workers: workers, Seed: 11}, sketchCfg(13))
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		st := eng.Stats()
-		if st.Dispatched != uint64(len(tr.Packets)) || st.Consumed != st.Dispatched || st.Dropped != 0 {
-			t.Fatalf("workers=%d: stats %+v, want %d dispatched=consumed", workers, st, len(tr.Packets))
-		}
-		s, err := eng.Snapshot()
+	tr := trace.CAIDALike(50_000, 11)
+	data := encode(t, tr)
+	for _, queues := range []int{1, 2, 3, 4, 7} {
+		s, st, err := ReplayPCAPBasic(ReplayConfig{Queues: queues, Seed: 11}, sketchCfg(13), bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if st.Queues != queues || st.Packets != uint64(len(tr.Packets)) || st.Skipped != 0 {
+			t.Fatalf("queues=%d: stats %+v, want %d packets", queues, st, len(tr.Packets))
+		}
 		if got := s.SumValues(); got != uint64(len(tr.Packets)) {
-			t.Fatalf("workers=%d: merged mass %d, want %d", workers, got, len(tr.Packets))
+			t.Fatalf("queues=%d: merged mass %d, want %d", queues, got, len(tr.Packets))
 		}
 	}
 }
 
 // TestUnbiasedAcrossShards: sharding must not bias estimates. The mean
 // estimate of a dominant flow across independently seeded trials must
-// track its true size, with the stream spread over 4 shards.
+// track its true size, with the stream spread over 4 queues.
 func TestUnbiasedAcrossShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical test")
@@ -115,7 +120,7 @@ func TestUnbiasedAcrossShards(t *testing.T) {
 	)
 	var sum, truth float64
 	for trial := 0; trial < trials; trial++ {
-		tr := testTrace(packets, uint64(trial)+50)
+		tr := trace.CAIDALike(packets, uint64(trial)+50)
 		exact := tr.FullCounts()
 		// Track the largest flow of this trial's trace.
 		var heavy flowkey.FiveTuple
@@ -127,15 +132,13 @@ func TestUnbiasedAcrossShards(t *testing.T) {
 		}
 		// A small sketch forces evictions, so replacement randomness is
 		// actually exercised.
-		eng := NewBasic(Config{Workers: 4, Seed: uint64(trial)},
-			core.Config{Arrays: 2, BucketsPerArray: 64, Seed: uint64(trial) * 31})
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		got, err := eng.Decode()
+		s, _, err := ReplayPCAPBasic(ReplayConfig{Queues: 4, Seed: uint64(trial)},
+			core.Config{Arrays: 2, BucketsPerArray: 64, Seed: uint64(trial) * 31},
+			bytes.NewReader(encode(t, tr)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += float64(got[heavy])
+		sum += float64(s.Decode()[heavy])
 		truth += float64(heavyN)
 	}
 	if rel := math.Abs(sum-truth) / truth; rel > 0.05 {
@@ -144,190 +147,47 @@ func TestUnbiasedAcrossShards(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringIngest takes snapshots while the dispatcher is
-// still feeding packets: each snapshot must be internally consistent
-// (mass equals a whole number of consumed packets at some barrier
-// point) and ingest must finish losslessly afterwards.
-func TestSnapshotDuringIngest(t *testing.T) {
-	tr := testTrace(80_000, 17)
-	eng := NewBasic(Config{Workers: 3, Seed: 17}, sketchCfg(19))
-
-	var snaps []uint64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 5; i++ {
-			s, err := eng.Snapshot()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			snaps = append(snaps, s.SumValues())
-		}
-	}()
-	for off := 0; off < len(tr.Packets); off += 1000 {
-		end := off + 1000
-		if end > len(tr.Packets) {
-			end = len(tr.Packets)
-		}
-		eng.Ingest(tr.Packets[off:end])
-	}
-	wg.Wait()
-	eng.Close()
-
-	for i, m := range snaps {
-		if m > uint64(len(tr.Packets)) {
-			t.Fatalf("snapshot %d mass %d exceeds stream length", i, m)
-		}
-	}
-	s, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SumValues(); got != uint64(len(tr.Packets)) {
-		t.Fatalf("final mass %d, want %d", got, len(tr.Packets))
-	}
-}
-
-// TestSnapshotSeesFlushedPackets: after Flush and a drain, a snapshot
-// must account for everything ingested so far even though the engine
-// stays open.
-func TestSnapshotSeesFlushedPackets(t *testing.T) {
-	tr := testTrace(10_000, 23)
-	eng := NewBasic(Config{Workers: 2, Seed: 23}, sketchCfg(29))
-	eng.Ingest(tr.Packets)
-	eng.Flush()
-	for eng.Stats().Consumed < uint64(len(tr.Packets)) {
-		// Workers drain asynchronously; Consumed is monotone.
-		runtime.Gosched()
-	}
-	s, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SumValues(); got != uint64(len(tr.Packets)) {
-		t.Fatalf("post-flush snapshot mass %d, want %d", got, len(tr.Packets))
-	}
-	eng.Close()
-}
-
-// TestHardwareEngine runs the hardware-friendly variant end to end:
-// each of the d arrays independently conserves the stream weight, so
-// the merged mass is d times the packet count.
-func TestHardwareEngine(t *testing.T) {
-	tr := testTrace(30_000, 31)
+// TestReplayHardware runs the hardware-friendly variant through a
+// 4-queue replay with a hardware factory: each of the d arrays
+// independently conserves the stream weight, so the merged mass is d
+// times the packet count.
+func TestReplayHardware(t *testing.T) {
+	tr := trace.CAIDALike(30_000, 31)
 	cfg := sketchCfg(37)
-	eng := NewHardware(Config{Workers: 4, Seed: 31}, cfg)
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	s, err := eng.Snapshot()
+	factory := func(i int) *core.Hardware[flowkey.FiveTuple] {
+		s := core.NewHardware[flowkey.FiveTuple](cfg)
+		if i > 0 {
+			s.Reseed(cfg.Seed ^ rngSalt(i))
+		}
+		return s
+	}
+	s, _, err := ReplayPCAP(ReplayConfig{Queues: 4, Seed: 31}, factory, bytes.NewReader(encode(t, tr)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := s.SumValues(), uint64(cfg.Arrays*len(tr.Packets)); got != want {
 		t.Fatalf("hardware merged mass %d, want %d", got, want)
 	}
-	dec, err := eng.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) == 0 {
+	if len(s.Decode()) == 0 {
 		t.Fatal("empty decode")
 	}
 }
 
-// TestDropOnFull: a tiny ring with DropOnFull must drop rather than
-// block, and the books must still balance (consumed + dropped =
-// dispatched; sketch mass = consumed).
-func TestDropOnFull(t *testing.T) {
-	tr := testTrace(40_000, 41)
-	eng := NewBasic(Config{Workers: 2, Seed: 41, RingCapacity: 64, DropOnFull: true}, sketchCfg(43))
-	eng.Ingest(tr.Packets)
-	eng.Close()
-	st := eng.Stats()
-	if st.Consumed+st.Dropped != st.Dispatched {
-		t.Fatalf("books do not balance: %+v", st)
-	}
-	s, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SumValues(); got != st.Consumed {
-		t.Fatalf("sketch mass %d, want consumed %d", got, st.Consumed)
-	}
-}
-
-// TestRSSSplitIsDeterministic: two engines with equal Seed and Workers
-// must split the stream identically, yielding identical decodes.
+// TestRSSSplitIsDeterministic: two partitions with equal seed and
+// queue count must split the stream identically, so their replays
+// decode identically.
 func TestRSSSplitIsDeterministic(t *testing.T) {
-	tr := testTrace(20_000, 47)
+	data := encode(t, trace.CAIDALike(20_000, 47))
 	run := func() map[flowkey.FiveTuple]uint64 {
-		eng := NewBasic(Config{Workers: 4, Seed: 47}, sketchCfg(53))
-		eng.Ingest(tr.Packets)
-		eng.Close()
-		dec, err := eng.Decode()
+		qs, err := pcap.PartitionRSS(bytes.NewReader(data), 4, 47)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return dec
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("decode sizes differ: %d vs %d", len(a), len(b))
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Fatalf("flow %v: %d vs %d between identical runs", k, v, b[k])
+		s, _, err := ReplayQueues(ReplayConfig{}, NewBasicFactory(sketchCfg(53), nil), qs)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return s.Decode()
 	}
-}
-
-// TestIngestKeys covers the bare-key ingest path.
-func TestIngestKeys(t *testing.T) {
-	tr := testTrace(8_000, 59)
-	keys := make([]flowkey.FiveTuple, len(tr.Packets))
-	for i := range tr.Packets {
-		keys[i] = tr.Packets[i].Key
-	}
-	eng := NewBasic(Config{Workers: 2, Seed: 59}, sketchCfg(61))
-	eng.IngestKeys(keys)
-	eng.Close()
-	s, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.SumValues(); got != uint64(len(keys)) {
-		t.Fatalf("mass %d, want %d", got, len(keys))
-	}
-}
-
-// TestCloseIdempotent: double Close must not hang or panic, and reads
-// after Close keep working.
-func TestCloseIdempotent(t *testing.T) {
-	eng := NewBasic(Config{Workers: 2, Seed: 67}, sketchCfg(71))
-	eng.IngestKeys([]flowkey.FiveTuple{{Proto: 6}})
-	eng.Close()
-	eng.Close()
-	if _, err := eng.Query(flowkey.FiveTuple{Proto: 6}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// BenchmarkEngineIngest measures the sharded ingest hot path
-// (dispatch + ring + batched insert) end to end.
-func BenchmarkEngineIngest(b *testing.B) {
-	tr := testTrace(1<<17, 1)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "w1", 2: "w2", 4: "w4"}[workers], func(b *testing.B) {
-			eng := NewBasic(Config{Workers: workers, Seed: 1},
-				core.ConfigForMemory[flowkey.FiveTuple](core.DefaultArrays, 500<<10, 1))
-			b.SetBytes(int64(len(tr.Packets)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Ingest(tr.Packets)
-			}
-			eng.Close()
-		})
-	}
+	diffTables(t, run(), run())
 }

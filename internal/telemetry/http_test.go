@@ -18,10 +18,10 @@ var update = flag.Bool("update", false, "regenerate golden files")
 // fixture behind the /debug/vars golden file.
 func goldenRegistry() *Registry {
 	r := New()
-	r.Counter("shard.dispatched").Add(2048)
-	r.Counter("shard.ring_drops").Add(3)
-	r.Gauge("shard.ring_occupancy.w0").Set(17)
-	h := r.Histogram("shard.batch_size")
+	r.Counter("netwide.observed").Add(2048)
+	r.Counter("ingest.skipped").Add(3)
+	r.Gauge("netwide.spool_depth").Set(17)
+	h := r.Histogram("ingest.batch_size")
 	for i := 0; i < 31; i++ {
 		h.Observe(64)
 	}

@@ -15,7 +15,7 @@
 // Hot loops should not call these methods per packet: the repository
 // convention is to accumulate plain (single-goroutine) counts and
 // flush one atomic delta per burst or batch chunk — see
-// core.SetTelemetry and the burst-level hooks in shard.Engine.
+// core.SetTelemetry and the burst-level hooks of shard's replay loop.
 package telemetry
 
 import "sync/atomic"

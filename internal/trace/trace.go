@@ -314,20 +314,22 @@ func (t *Trace) TotalPackets() uint64 { return uint64(len(t.Packets)) }
 
 // WritePCAP encodes the trace as an Ethernet pcap stream. Packet
 // payloads are zero-filled to the recorded wire size (capped by
-// snapLen).
+// snapLen). Every frame is built into one reused buffer, so the
+// encoder's allocations do not grow with the packet count.
 func (t *Trace) WritePCAP(w io.Writer, snapLen uint32) error {
 	pw, err := pcap.NewWriter(w, pcap.LinkTypeEthernet, snapLen)
 	if err != nil {
 		return err
 	}
 	base := time.Unix(1600000000, 0)
+	frame := make([]byte, 0, 2048) // a full MTU frame; larger ones grow it
 	for i := range t.Packets {
 		p := &t.Packets[i]
 		payload := int(p.Size) - 54 // rough L2+L3+L4 header size
 		if payload < 0 {
 			payload = 0
 		}
-		frame := packet.Build(p.Key, packet.BuildOptions{PayloadLen: payload})
+		frame = packet.AppendBuild(frame[:0], p.Key, packet.BuildOptions{PayloadLen: payload})
 		if err := pw.WritePacket(base.Add(p.TS), frame, int(p.Size)); err != nil {
 			return err
 		}

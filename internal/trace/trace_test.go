@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"sort"
 	"testing"
@@ -223,6 +224,46 @@ func TestPCAPRoundTrip(t *testing.T) {
 		if back.Packets[i].Size != tr.Packets[i].Size {
 			t.Fatalf("packet %d size mismatch: %d vs %d", i, back.Packets[i].Size, tr.Packets[i].Size)
 		}
+	}
+}
+
+// TestWritePCAPAllocsBounded pins the encoder's reused frame buffer:
+// its allocation count is a small constant, whatever the packet count,
+// and its output is byte-identical to building every frame afresh
+// with packet.Build.
+func TestWritePCAPAllocsBounded(t *testing.T) {
+	for _, n := range []int{1_000, 20_000} {
+		tr := CAIDALike(n, 13)
+		allocs := testing.AllocsPerRun(3, func() {
+			if err := tr.WritePCAP(io.Discard, 64); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("%d packets: WritePCAP allocates %.0f times, want a constant ≤ 8", n, allocs)
+		}
+	}
+
+	tr := CAIDALike(2_000, 17)
+	var got, want bytes.Buffer
+	if err := tr.WritePCAP(&got, 96); err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcap.NewWriter(&want, pcap.LinkTypeEthernet, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range tr.Packets {
+		frame := packet.Build(p.Key, packet.BuildOptions{PayloadLen: max(int(p.Size)-54, 0)})
+		if err := w.WritePacket(time.Unix(1600000000, 0).Add(p.TS), frame, int(p.Size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WritePCAP output differs from per-packet packet.Build frames")
 	}
 }
 
